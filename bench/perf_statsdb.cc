@@ -247,7 +247,6 @@ int main(int argc, char** argv) {
     statsdb::ParallelConfig cfg;
     cfg.max_threads = threads;
     cfg.pool = pool;
-    cfg.morsel_chunks = 1;
     cfg.min_chunks = 2;  // smoke tables are only 2 chunks
     return cfg;
   };

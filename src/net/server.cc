@@ -117,13 +117,12 @@ util::Status Server::Start() {
 
   // Wire morsel parallelism onto the server's own pool so session tasks
   // and query morsels share workers (the PR 7 nested-submission
-  // contract). FF_STATSDB_PARALLEL still wins on sizing when set.
+  // contract). FF_STATSDB_PARALLEL still wins on the thread cap when
+  // set; the database keeps its own morsel sizing.
   statsdb::ParallelConfig pc = db_.parallel_config();
   pc.pool = pool_.get();
   if (std::getenv("FF_STATSDB_PARALLEL") == nullptr) {
     pc.max_threads = config_.pool_threads;
-    pc.morsel_chunks = config_.morsel_chunks;
-    pc.min_chunks = config_.min_chunks;
   }
   db_.set_parallel_config(pc);
 

@@ -98,9 +98,6 @@ struct ServerConfig {
   /// equivalent). The environment variable still wins when set: ops
   /// overrides beat baked-in defaults.
   bool cache_default_full = true;
-  /// Morsel sizing forwarded to the database's ParallelConfig.
-  size_t morsel_chunks = 1;
-  size_t min_chunks = 4;
 
   // Overload / robustness limits. Every limit that fires is counted in
   // ServerCounters and exported through the runtime_server table, so a

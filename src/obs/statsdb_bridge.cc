@@ -118,8 +118,7 @@ statsdb::MorselHook TraceMorselHook() {
     for (const auto& m : stats) {
       SpanId id = tr->BeginSpan(t0, SpanCategory::kSim, "morsel", track);
       tr->SpanArg(id, "morsel", static_cast<double>(m.morsel));
-      tr->SpanArg(id, "first_chunk", static_cast<double>(m.first_chunk));
-      tr->SpanArg(id, "chunks", static_cast<double>(m.chunks));
+      tr->SpanArg(id, "chunk", static_cast<double>(m.chunk));
       tr->SpanArg(id, "rows", static_cast<double>(m.rows));
       tr->SpanArg(id, "wall_ms", m.wall_ms);
       tr->EndSpan(id, t0 + m.wall_ms / 1000.0);

@@ -47,7 +47,7 @@ util::StatusOr<statsdb::Table*> LoadMetricSamples(
 /// shows up in the same Chrome trace as the simulation that issued the
 /// query. Track "statsdb/<op>", category kSim; spans start at the
 /// recorder's current virtual time and extend by the morsel's measured
-/// wall time (seconds), with morsel/first_chunk/chunks/rows/wall_ms
+/// wall time (seconds), with morsel/chunk/rows/wall_ms
 /// attached as span args. No-op when no recorder is installed; the
 /// statsdb layer cannot link obs (obs links statsdb), which is why this
 /// lives here as a factory instead of inside the executor.

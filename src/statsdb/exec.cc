@@ -58,6 +58,16 @@ void ApplyBoolMaskSel(const ColumnVector& v, size_t n,
   }
 }
 
+/// Emits `rows` as one row-mode batch in `*out`; nullptr when empty.
+const Batch* EmitRows(std::vector<Row> rows, Batch* out) {
+  if (rows.empty()) return nullptr;
+  *out = Batch();
+  out->row_mode = true;
+  out->num_rows = rows.size();
+  out->own_rows = std::move(rows);
+  return out;
+}
+
 util::Status CheckBoolPredicate(const ExprPtr& pred, const Schema& schema) {
   FF_ASSIGN_OR_RETURN(DataType t, pred->ResultType(schema));
   if (t != DataType::kBool && t != DataType::kNull) {
@@ -115,18 +125,17 @@ class ScanIterator : public BatchIterator {
   ScanIterator(const ScanNode& node, const Database& db,
                obs::OperatorProfile* prof = nullptr)
       : node_(&node), db_(&db), prof_(prof) {}
-  /// Chunk-restricted scan reusing a shared coordinator-built setup
-  /// (parallel morsels). `chunks` is an ascending subsequence of
-  /// SurveyScanChunks(*setup).
-  ScanIterator(const ScanSetup* setup, std::vector<size_t> chunks,
+  /// Single-chunk scan reusing a shared coordinator-built setup (one
+  /// parallel morsel); `chunk` is an entry of SurveyScanChunks(*setup).
+  ScanIterator(const ScanSetup* setup, size_t chunk,
                obs::OperatorProfile* prof = nullptr)
-      : setup_(setup), chunks_(std::move(chunks)), restricted_(true),
-        prof_(prof) {}
+      : setup_(setup), chunk_(chunk), end_chunk_(chunk + 1), prof_(prof) {}
 
   util::Status Init() {
     if (setup_ == nullptr) {
       FF_ASSIGN_OR_RETURN(own_setup_, PrepareScan(*node_, *db_));
       setup_ = &own_setup_;
+      end_chunk_ = (setup_->store->num_rows() + kChunkRows - 1) / kChunkRows;
     }
     return util::Status::OK();
   }
@@ -136,26 +145,21 @@ class ScanIterator : public BatchIterator {
   util::StatusOr<const Batch*> Next() override {
     const Schema& schema = setup_->table->schema();
     size_t num_rows = setup_->store->num_rows();
-    for (;;) {
-      size_t chunk;
-      if (restricted_) {
-        if (chunk_pos_ == chunks_.size()) break;
-        chunk = chunks_[chunk_pos_++];
-      } else {
-        if (chunk_ * kChunkRows >= num_rows) break;
-        chunk = chunk_++;
-      }
+    while (chunk_ < end_chunk_) {
+      size_t chunk = chunk_++;
       size_t lo = chunk * kChunkRows;
       size_t hi = std::min(lo + kChunkRows, num_rows);
       size_t span = hi - lo;
 
       // Index access path: collect this chunk's matching rows first so
-      // chunks without matches are skipped outright. A restricted scan
-      // may have skipped chunks, so first drop matches below `lo`.
+      // chunks without matches are skipped outright. A single-chunk scan
+      // starts mid-table, so first skip the matches below `lo`.
       std::vector<uint32_t> sel0;
       if (setup_->use_index) {
         const std::vector<size_t>& ir = setup_->index_rows;
-        while (index_pos_ < ir.size() && ir[index_pos_] < lo) ++index_pos_;
+        index_pos_ = static_cast<size_t>(
+            std::lower_bound(ir.begin() + index_pos_, ir.end(), lo) -
+            ir.begin());
         while (index_pos_ < ir.size() && ir[index_pos_] < hi) {
           sel0.push_back(static_cast<uint32_t>(ir[index_pos_] - lo));
           ++index_pos_;
@@ -256,15 +260,13 @@ class ScanIterator : public BatchIterator {
   }
 
  private:
-  const ScanNode* node_ = nullptr;   // unrestricted mode only
-  const Database* db_ = nullptr;     // unrestricted mode only
-  ScanSetup own_setup_;              // unrestricted mode only
+  const ScanNode* node_ = nullptr;   // whole-table scan only
+  const Database* db_ = nullptr;     // whole-table scan only
+  ScanSetup own_setup_;              // whole-table scan only
   const ScanSetup* setup_ = nullptr;
-  std::vector<size_t> chunks_;       // restricted mode only
-  bool restricted_ = false;
-  size_t chunk_pos_ = 0;             // cursor into chunks_
+  size_t chunk_ = 0;      // next chunk to scan
+  size_t end_chunk_ = 0;  // one past the last chunk to scan
   size_t index_pos_ = 0;
-  size_t chunk_ = 0;
   obs::OperatorProfile* prof_ = nullptr;
   Batch out_;
 };
@@ -382,74 +384,9 @@ class AggregateIterator : public BatchIterator {
   util::StatusOr<const Batch*> Next() override {
     if (done_) return nullptr;
     done_ = true;
-
-    struct Group {
-      Row key;
-      std::vector<AggState> states;
-    };
-    std::unordered_map<Row, size_t, RowHash, RowEq> group_index;
-    std::vector<Group> groups;
-    const Schema& in_schema = input_->schema();
-
-    for (;;) {
-      FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
-      if (in == nullptr) break;
-      size_t n = in->ActiveRows();
-      const uint32_t* sel = in->has_sel ? in->sel.data() : nullptr;
-
-      // One vectorized evaluation per aggregate per batch.
-      std::vector<ColumnVector> argv(node_.aggs.size());
-      for (size_t a = 0; a < node_.aggs.size(); ++a) {
-        if (node_.aggs[a].func == AggFunc::kCountStar) continue;
-        FF_ASSIGN_OR_RETURN(
-            argv[a],
-            EvalBatch(*node_.aggs[a].arg, *in, in_schema, sel, n));
-      }
-
-      Row key;
-      for (size_t k = 0; k < n; ++k) {
-        size_t r = in->RowAt(k);
-        key.clear();
-        for (size_t i : key_cols_) key.push_back(in->CellValue(r, i));
-        auto [it, inserted] = group_index.try_emplace(key, groups.size());
-        if (inserted) groups.push_back(Group{key, NewAggStates(node_.aggs)});
-        Group& g = groups[it->second];
-        for (size_t a = 0; a < node_.aggs.size(); ++a) {
-          AggState& st = g.states[a];
-          if (node_.aggs[a].func == AggFunc::kCountStar) {
-            ++st.count;
-            continue;
-          }
-          const ColumnVector& v = argv[a];
-          if (v.vals != nullptr) {
-            st.Add(v.vals[k]);
-          } else if (v.IsNull(k)) {
-            // NULL contributes nothing.
-          } else if (v.type == DataType::kInt64) {
-            st.AddInt64(v.i64[k]);
-          } else if (v.type == DataType::kDouble) {
-            st.AddDouble(v.f64[k]);
-          } else {
-            st.Add(v.GetValue(k));
-          }
-        }
-      }
-    }
-
-    if (groups.empty() && key_cols_.empty()) {
-      groups.push_back(Group{{}, NewAggStates(node_.aggs)});
-    }
-    if (groups.empty()) return nullptr;
-
-    out_ = Batch();
-    out_.row_mode = true;
-    out_.num_rows = groups.size();
-    out_.own_rows.reserve(groups.size());
-    for (const auto& g : groups) {
-      out_.own_rows.push_back(
-          FinalizeAggRow(g.key, g.states, node_.aggs, out_schema_));
-    }
-    return &out_;
+    GroupedAgg groups(&node_.aggs, key_cols_);
+    FF_RETURN_IF_ERROR(groups.FoldAll(*input_));
+    return EmitRows(groups.Finish(out_schema_), &out_);
   }
 
  private:
@@ -537,13 +474,7 @@ class SortIterator : public BatchIterator {
         heap.pop();
       }
     }
-
-    if (rows.empty()) return nullptr;
-    out_ = Batch();
-    out_.row_mode = true;
-    out_.num_rows = rows.size();
-    out_.own_rows = std::move(rows);
-    return &out_;
+    return EmitRows(std::move(rows), &out_);
   }
 
  private:
@@ -745,18 +676,28 @@ class MaterializedIterator : public BatchIterator {
   const Schema& schema() const override { return node_.schema; }
 
   util::StatusOr<const Batch*> Next() override {
-    if (done_ || node_.rows->empty()) return nullptr;
-    done_ = true;
+    size_t n = node_.rows->size();
+    if (next_ == n) return nullptr;
+    size_t end = batch_ < node_.batch_ends.size() ? node_.batch_ends[batch_++]
+                                                  : n;
     out_ = Batch();
     out_.row_mode = true;
-    out_.num_rows = node_.rows->size();
+    out_.num_rows = n;
     out_.ext_rows = node_.rows.get();  // zero-copy borrow
+    if (next_ > 0 || end < n) {
+      out_.has_sel = true;
+      for (; next_ < end; ++next_) {
+        out_.sel.push_back(static_cast<uint32_t>(next_));
+      }
+    }
+    next_ = end;
     return &out_;
   }
 
  private:
   const MaterializedNode& node_;
-  bool done_ = false;
+  size_t next_ = 0;   // first row of the next batch
+  size_t batch_ = 0;  // index into batch_ends
   Batch out_;
 };
 
@@ -869,35 +810,71 @@ std::vector<size_t> SurveyScanChunks(const ScanSetup& setup) {
 
 util::StatusOr<IterPtr> BuildChainIterator(const PlanNode& plan,
                                            const ScanSetup* setup,
-                                           std::vector<size_t> chunks,
+                                           size_t chunk,
                                            obs::OperatorProfile* prof) {
-  switch (plan.kind()) {
-    case PlanKind::kScan:
-      return WrapProfiled(MakeIter<ScanIterator>(setup, std::move(chunks),
-                                                 prof),
-                          plan, prof);
-    case PlanKind::kFilter: {
-      const auto& n = static_cast<const FilterNode&>(plan);
-      obs::OperatorProfile* cp = prof == nullptr ? nullptr : prof->AddChild();
-      FF_ASSIGN_OR_RETURN(
-          IterPtr in,
-          BuildChainIterator(*n.input, setup, std::move(chunks), cp));
-      return WrapProfiled(MakeIter<FilterIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kProject: {
-      const auto& n = static_cast<const ProjectNode&>(plan);
-      obs::OperatorProfile* cp = prof == nullptr ? nullptr : prof->AddChild();
-      FF_ASSIGN_OR_RETURN(
-          IterPtr in,
-          BuildChainIterator(*n.input, setup, std::move(chunks), cp));
-      return WrapProfiled(MakeIter<ProjectIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    default:
-      return util::Status::Internal("BuildChainIterator: not a scan chain: " +
-                                    plan.ToString());
+  if (plan.kind() == PlanKind::kScan) {
+    return WrapProfiled(MakeIter<ScanIterator>(setup, chunk, prof), plan,
+                        prof);
   }
+  if (plan.kind() != PlanKind::kFilter && plan.kind() != PlanKind::kProject) {
+    return util::Status::Internal("BuildChainIterator: not a scan chain: " +
+                                  plan.ToString());
+  }
+  obs::OperatorProfile* cp = prof == nullptr ? nullptr : prof->AddChild();
+  FF_ASSIGN_OR_RETURN(
+      IterPtr in, BuildChainIterator(*PlanInputs(plan)[0], setup, chunk, cp));
+  return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
+}
+
+util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
+                                          IterPtr input) {
+  switch (plan.kind()) {
+    case PlanKind::kFilter:
+      return MakeIter<FilterIterator>(static_cast<const FilterNode&>(plan),
+                                      std::move(input));
+    case PlanKind::kProject:
+      return MakeIter<ProjectIterator>(static_cast<const ProjectNode&>(plan),
+                                       std::move(input));
+    case PlanKind::kAggregate:
+      return MakeIter<AggregateIterator>(
+          static_cast<const AggregateNode&>(plan), std::move(input));
+    case PlanKind::kSort:
+      return MakeIter<SortIterator>(static_cast<const SortNode&>(plan),
+                                    std::move(input));
+    case PlanKind::kLimit:
+      return MakeIter<LimitIterator>(static_cast<const LimitNode&>(plan),
+                                     std::move(input));
+    case PlanKind::kDistinct:
+      return MakeIter<DistinctIterator>(std::move(input));
+    default:
+      return util::Status::Internal("BuildIteratorOver: not a single-input "
+                                    "operator: " + plan.ToString());
+  }
+}
+
+std::vector<PlanPtr> PlanInputs(const PlanNode& plan) {
+  switch (plan.kind()) {
+    case PlanKind::kFilter:
+      return {static_cast<const FilterNode&>(plan).input};
+    case PlanKind::kProject:
+      return {static_cast<const ProjectNode&>(plan).input};
+    case PlanKind::kAggregate:
+      return {static_cast<const AggregateNode&>(plan).input};
+    case PlanKind::kDistinct:
+      return {static_cast<const DistinctNode&>(plan).input};
+    case PlanKind::kSort:
+      return {static_cast<const SortNode&>(plan).input};
+    case PlanKind::kLimit:
+      return {static_cast<const LimitNode&>(plan).input};
+    case PlanKind::kHashJoin: {
+      const auto& j = static_cast<const HashJoinNode&>(plan);
+      return {j.left, j.right};
+    }
+    case PlanKind::kScan:
+    case PlanKind::kMaterialized:
+      return {};
+  }
+  return {};
 }
 
 util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
@@ -912,42 +889,6 @@ util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
       return WrapProfiled(
           MakeIter<ScanIterator>(static_cast<const ScanNode&>(plan), db, prof),
           plan, prof);
-    case PlanKind::kFilter: {
-      const auto& n = static_cast<const FilterNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<FilterIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kProject: {
-      const auto& n = static_cast<const ProjectNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<ProjectIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kAggregate: {
-      const auto& n = static_cast<const AggregateNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<AggregateIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kSort: {
-      const auto& n = static_cast<const SortNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<SortIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kLimit: {
-      const auto& n = static_cast<const LimitNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<LimitIterator>(n, std::move(in)), plan,
-                          prof);
-    }
-    case PlanKind::kDistinct: {
-      const auto& n = static_cast<const DistinctNode&>(plan);
-      FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(*n.input, db, child()));
-      return WrapProfiled(MakeIter<DistinctIterator>(std::move(in)), plan,
-                          prof);
-    }
     case PlanKind::kHashJoin: {
       const auto& n = static_cast<const HashJoinNode&>(plan);
       // Two children: [0] = left (probe), [1] = right (build), matching
@@ -964,23 +905,141 @@ util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
       return WrapProfiled(MakeIter<MaterializedIterator>(
                               static_cast<const MaterializedNode&>(plan)),
                           plan, prof);
+    default: {  // single-input operators
+      FF_ASSIGN_OR_RETURN(IterPtr in,
+                          BuildIterator(*PlanInputs(plan)[0], db, child()));
+      return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
+    }
   }
-  return util::Status::Internal("unhandled plan kind");
+}
+
+util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
+                       std::vector<size_t>* batch_ends) {
+  size_t width = it.schema().num_columns();
+  for (;;) {
+    FF_ASSIGN_OR_RETURN(const Batch* batch, it.Next());
+    if (batch == nullptr) return util::Status::OK();
+    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
+      out->push_back(batch->MaterializeRow(batch->RowAt(k), width));
+    }
+    if (batch_ends != nullptr && batch->ActiveRows() > 0) {
+      batch_ends->push_back(out->size());
+    }
+  }
+}
+
+util::StatusOr<ResultSet> Drain(BatchIterator& it) {
+  ResultSet rs{it.schema(), {}};
+  FF_RETURN_IF_ERROR(DrainRows(it, &rs.rows));
+  return rs;
 }
 
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
                                           const Database& db) {
   FF_ASSIGN_OR_RETURN(IterPtr it, BuildIterator(plan, db));
-  ResultSet rs{it->schema(), {}};
-  size_t width = rs.schema.num_columns();
+  return Drain(*it);
+}
+
+util::Status GroupedAgg::FoldAll(BatchIterator& input) {
   for (;;) {
-    FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());
-    if (batch == nullptr) break;
-    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      rs.rows.push_back(batch->MaterializeRow(batch->RowAt(k), width));
+    FF_ASSIGN_OR_RETURN(const Batch* in, input.Next());
+    if (in == nullptr) return util::Status::OK();
+    FF_RETURN_IF_ERROR(Fold(*in, input.schema()));
+  }
+}
+
+util::Status GroupedAgg::Fold(const Batch& in, const Schema& in_schema) {
+  const std::vector<AggSpec>& aggs = *aggs_;
+  size_t n = in.ActiveRows();
+  const uint32_t* sel = in.has_sel ? in.sel.data() : nullptr;
+
+  // One vectorized evaluation per aggregate per batch.
+  std::vector<ColumnVector> argv(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].func == AggFunc::kCountStar) continue;
+    FF_ASSIGN_OR_RETURN(argv[a],
+                        EvalBatch(*aggs[a].arg, in, in_schema, sel, n));
+  }
+
+  // The batch's partial states, flat, one run of aggs.size() per group in
+  // first-seen order within the batch; part_of_[g] is group g's run.
+  // Runs left over from earlier batches are reset in place.
+  const std::vector<AggState> fresh = NewAggStates(aggs);
+  part_of_.resize(groups_.size(), kNoPart);
+  Row key;
+  for (size_t k = 0; k < n; ++k) {
+    size_t r = in.RowAt(k);
+    key.clear();
+    for (size_t i : key_cols_) key.push_back(in.CellValue(r, i));
+    size_t g = GroupIndex(key);
+    if (g == part_of_.size()) part_of_.push_back(kNoPart);  // new group
+    if (part_of_[g] == kNoPart) {
+      size_t run = part_groups_.size() * aggs.size();
+      part_of_[g] = part_groups_.size();
+      part_groups_.push_back(g);
+      if (run == part_states_.size()) {
+        part_states_.insert(part_states_.end(), fresh.begin(), fresh.end());
+      } else {
+        std::copy(fresh.begin(), fresh.end(), part_states_.begin() + run);
+      }
+    }
+    AggState* states = &part_states_[part_of_[g] * aggs.size()];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      AggState& st = states[a];
+      if (aggs[a].func == AggFunc::kCountStar) {
+        ++st.count;
+        continue;
+      }
+      const ColumnVector& v = argv[a];
+      if (v.vals != nullptr) {
+        st.Add(v.vals[k]);
+      } else if (v.IsNull(k)) {
+        // NULL contributes nothing.
+      } else if (v.type == DataType::kInt64) {
+        st.AddInt64(v.i64[k]);
+      } else if (v.type == DataType::kDouble) {
+        st.AddDouble(v.f64[k]);
+      } else {
+        st.Add(v.GetValue(k));
+      }
     }
   }
-  return rs;
+  // Merge the partials into the running groups in first-seen order.
+  for (size_t p = 0; p < part_groups_.size(); ++p) {
+    std::vector<AggState>& states = groups_[part_groups_[p]].states;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      states[a].Merge(part_states_[p * aggs.size() + a]);
+    }
+    part_of_[part_groups_[p]] = kNoPart;
+  }
+  part_groups_.clear();
+  return util::Status::OK();
+}
+
+size_t GroupedAgg::GroupIndex(const Row& key) {
+  auto [it, inserted] = index_.try_emplace(key, groups_.size());
+  if (inserted) groups_.push_back(Group{key, NewAggStates(*aggs_)});
+  return it->second;
+}
+
+void GroupedAgg::Merge(const GroupedAgg& other) {
+  for (const Group& g : other.groups_) {
+    std::vector<AggState>& states = groups_[GroupIndex(g.key)].states;
+    for (size_t a = 0; a < states.size(); ++a) states[a].Merge(g.states[a]);
+  }
+}
+
+std::vector<Row> GroupedAgg::Finish(const Schema& out_schema) const {
+  std::vector<Row> rows;
+  rows.reserve(groups_.size());
+  for (const Group& g : groups_) {
+    rows.push_back(FinalizeAggRow(g.key, g.states, *aggs_, out_schema));
+  }
+  if (rows.empty() && key_cols_.empty()) {
+    rows.push_back(FinalizeAggRow({}, NewAggStates(*aggs_), *aggs_,
+                                  out_schema));
+  }
+  return rows;
 }
 
 util::StatusOr<ResultSet> ExecuteColumnarProfiled(const PlanNode& plan,
@@ -991,15 +1050,7 @@ util::StatusOr<ResultSet> ExecuteColumnarProfiled(const PlanNode& plan,
   if constexpr (obs::kProfilingCompiledIn) t0 = obs::RuntimeNowNs();
   FF_ASSIGN_OR_RETURN(IterPtr it,
                       BuildIterator(plan, db, profile->root.get()));
-  ResultSet rs{it->schema(), {}};
-  size_t width = rs.schema.num_columns();
-  for (;;) {
-    FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());
-    if (batch == nullptr) break;
-    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      rs.rows.push_back(batch->MaterializeRow(batch->RowAt(k), width));
-    }
-  }
+  FF_ASSIGN_OR_RETURN(ResultSet rs, Drain(*it));
   if constexpr (obs::kProfilingCompiledIn) {
     profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
   }
@@ -1063,38 +1114,7 @@ void ExplainWalk(const PlanNode& plan, int depth,
                  std::vector<std::string>* out) {
   out->push_back(std::string(static_cast<size_t>(depth) * 2, ' ') +
                  NodeLabel(plan));
-  switch (plan.kind()) {
-    case PlanKind::kFilter:
-      ExplainWalk(*static_cast<const FilterNode&>(plan).input, depth + 1, out);
-      break;
-    case PlanKind::kProject:
-      ExplainWalk(*static_cast<const ProjectNode&>(plan).input, depth + 1,
-                  out);
-      break;
-    case PlanKind::kAggregate:
-      ExplainWalk(*static_cast<const AggregateNode&>(plan).input, depth + 1,
-                  out);
-      break;
-    case PlanKind::kSort:
-      ExplainWalk(*static_cast<const SortNode&>(plan).input, depth + 1, out);
-      break;
-    case PlanKind::kLimit:
-      ExplainWalk(*static_cast<const LimitNode&>(plan).input, depth + 1, out);
-      break;
-    case PlanKind::kDistinct:
-      ExplainWalk(*static_cast<const DistinctNode&>(plan).input, depth + 1,
-                  out);
-      break;
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(plan);
-      ExplainWalk(*n.left, depth + 1, out);
-      ExplainWalk(*n.right, depth + 1, out);
-      break;
-    }
-    case PlanKind::kScan:
-    case PlanKind::kMaterialized:
-      break;
-  }
+  for (const PlanPtr& in : PlanInputs(plan)) ExplainWalk(*in, depth + 1, out);
 }
 
 }  // namespace

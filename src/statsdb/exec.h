@@ -12,11 +12,13 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/runtime_stats.h"
 #include "statsdb/batch.h"
+#include "statsdb/plan.h"
 #include "statsdb/query.h"
 
 namespace ff {
@@ -24,7 +26,6 @@ namespace statsdb {
 
 class ColumnStore;
 class Database;
-class ScanNode;
 class Table;
 
 /// Pull-based batch stream. Next() returns nullptr at end of stream; the
@@ -65,17 +66,84 @@ util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
 
 /// Chunk indices (ascending) that survive zone-map pruning and — on the
 /// index path — contain at least one index match. The parallel executor
-/// partitions this list into morsels; chunks absent from it are provably
-/// empty for the scan.
+/// runs one morsel per entry; chunks absent from it are provably empty
+/// for the scan.
 std::vector<size_t> SurveyScanChunks(const ScanSetup& setup);
 
 /// Builds the iterator tree for `plan`, which must be a chain of
 /// Filter/Project nodes over one Scan leaf; the leaf is replaced by a
-/// scan over `chunks` (an ascending subsequence of SurveyScanChunks)
-/// reusing the shared `setup`. Both must outlive the iterator.
+/// scan of the single chunk `chunk` reusing the shared `setup`, which
+/// must outlive the iterator. The chain emits at most one batch.
 util::StatusOr<std::unique_ptr<BatchIterator>> BuildChainIterator(
-    const PlanNode& plan, const ScanSetup* setup, std::vector<size_t> chunks,
+    const PlanNode& plan, const ScanSetup* setup, size_t chunk,
     obs::OperatorProfile* prof = nullptr);
+
+/// Builds the operator iterator for the single-input node `plan` over an
+/// already-built `input` stream in place of the node's own input. The
+/// parallel executor runs a serial Distinct or top-k Sort this way, once
+/// per morsel and once more over the concatenated morsel outputs.
+util::StatusOr<std::unique_ptr<BatchIterator>> BuildIteratorOver(
+    const PlanNode& plan, std::unique_ptr<BatchIterator> input);
+
+/// Plan inputs in the order BuildIterator creates profile children:
+/// [0] = input (joins: [0] = left, [1] = right); leaves have none.
+std::vector<PlanPtr> PlanInputs(const PlanNode& plan);
+
+/// Grouped aggregation over mergeable partial states: the executor's one
+/// per-row aggregate loop, shared by the serial Aggregate operator and
+/// the parallel executor's morsels. Each input batch is folded into
+/// fresh per-group partial states, which are then merged into the
+/// running groups (AggState::Merge); Merge() folds in another
+/// GroupedAgg's groups the same way. Groups keep first-seen order.
+///
+/// A serial scan chain emits one batch per chunk and a morsel is one
+/// chunk, so the serial operator and a morsel-order merge of morsel
+/// partials make the same Merge calls: their results agree bit for bit.
+class GroupedAgg {
+ public:
+  /// `aggs` must outlive this object; `key_cols` index the input schema
+  /// (as resolved by AggOutputSchema).
+  GroupedAgg(const std::vector<AggSpec>* aggs, std::vector<size_t> key_cols)
+      : aggs_(aggs), key_cols_(std::move(key_cols)) {}
+
+  /// Folds every batch of `input`, one partial per batch.
+  util::Status FoldAll(BatchIterator& input);
+  /// Merges `other`'s groups, in its first-seen order, into this one.
+  void Merge(const GroupedAgg& other);
+  /// One output row per group; a global aggregate (no group keys) over
+  /// no input still yields one row.
+  std::vector<Row> Finish(const Schema& out_schema) const;
+
+ private:
+  util::Status Fold(const Batch& in, const Schema& in_schema);
+  /// Index of `key`'s group, appending a new group if unseen.
+  size_t GroupIndex(const Row& key);
+
+  struct Group {
+    Row key;
+    std::vector<AggState> states;
+  };
+  static constexpr size_t kNoPart = static_cast<size_t>(-1);
+  const std::vector<AggSpec>* aggs_;
+  std::vector<size_t> key_cols_;
+  std::unordered_map<Row, size_t, RowHash, RowEq> index_;
+  std::vector<Group> groups_;
+  // Fold's per-batch scratch: the partial of group g is run part_of_[g]
+  // of part_states_ (kNoPart: none yet); part_groups_ lists the groups
+  // with a partial in first-seen order.
+  std::vector<size_t> part_of_;
+  std::vector<size_t> part_groups_;
+  std::vector<AggState> part_states_;
+};
+
+/// Pulls `it` to the end, appending every active row to `*out` and, when
+/// `batch_ends` is non-null, the size of `*out` after each non-empty
+/// batch (the input's batch boundaries, for MaterializedNode).
+util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
+                       std::vector<size_t>* batch_ends = nullptr);
+
+/// Pulls `it` to the end into a ResultSet with the iterator's schema.
+util::StatusOr<ResultSet> Drain(BatchIterator& it);
 
 /// Runs `plan` through the vectorized engine as-is (no planner pass) and
 /// materializes the result.

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/runtime_stats.h"
@@ -29,31 +27,19 @@ using IterPtr = std::unique_ptr<BatchIterator>;
 // ----------------------------------------------------------- chain shape
 
 /// A chain is a pipeline the executor can split by chunk: Filter/Project
-/// operators over exactly one Scan leaf. Chains have no cross-row state,
-/// so running one per morsel and concatenating in morsel order is
-/// byte-identical to one serial pass.
+/// operators over exactly one Scan leaf. The scan emits one batch per
+/// chunk and Filter/Project map batches one to one, so running the chain
+/// once per chunk yields, in chunk order, exactly the batches of one
+/// serial pass.
 bool IsChain(const PlanNode& n) {
-  switch (n.kind()) {
-    case PlanKind::kScan:
-      return true;
-    case PlanKind::kFilter:
-      return IsChain(*static_cast<const FilterNode&>(n).input);
-    case PlanKind::kProject:
-      return IsChain(*static_cast<const ProjectNode&>(n).input);
-    default:
-      return false;
-  }
+  if (n.kind() == PlanKind::kScan) return true;
+  return (n.kind() == PlanKind::kFilter || n.kind() == PlanKind::kProject) &&
+         IsChain(*PlanInputs(n)[0]);
 }
 
 const ScanNode& ChainLeaf(const PlanNode& n) {
-  switch (n.kind()) {
-    case PlanKind::kFilter:
-      return ChainLeaf(*static_cast<const FilterNode&>(n).input);
-    case PlanKind::kProject:
-      return ChainLeaf(*static_cast<const ProjectNode&>(n).input);
-    default:
-      return static_cast<const ScanNode&>(n);
-  }
+  if (n.kind() == PlanKind::kScan) return static_cast<const ScanNode&>(n);
+  return ChainLeaf(*PlanInputs(n)[0]);
 }
 
 // -------------------------------------------------------- morsel fan-out
@@ -72,23 +58,16 @@ struct RewriteCtx {
 
 struct MorselPlan {
   ScanSetup setup;
-  std::vector<std::vector<size_t>> morsels;  // consecutive chunk groups
+  std::vector<size_t> chunks;  // surviving chunks, one morsel each
 };
 
-/// Prepares the scan once on the coordinator and partitions the
-/// surviving chunks into morsels. False = not worth parallelizing.
+/// Prepares the scan once on the coordinator and surveys the surviving
+/// chunks, one morsel per chunk. False = not worth parallelizing.
 util::StatusOr<bool> PlanMorsels(const PlanNode& chain, RewriteCtx& ctx,
                                  MorselPlan* out) {
   FF_ASSIGN_OR_RETURN(out->setup, PrepareScan(ChainLeaf(chain), ctx.db));
-  std::vector<size_t> chunks = SurveyScanChunks(out->setup);
-  size_t min_chunks = std::max<size_t>(2, ctx.cfg.min_chunks);
-  if (chunks.size() < min_chunks) return false;
-  size_t per = std::max<size_t>(1, ctx.cfg.morsel_chunks);
-  for (size_t i = 0; i < chunks.size(); i += per) {
-    size_t end = std::min(i + per, chunks.size());
-    out->morsels.emplace_back(chunks.begin() + i, chunks.begin() + end);
-  }
-  return out->morsels.size() > 1;
+  out->chunks = SurveyScanChunks(out->setup);
+  return out->chunks.size() >= std::max<size_t>(2, ctx.cfg.min_chunks);
 }
 
 /// Per-unit profiling scaffolding, inert (all null/no-op) when the query
@@ -96,7 +75,7 @@ util::StatusOr<bool> PlanMorsels(const PlanNode& chain, RewriteCtx& ctx,
 /// chain profile per morsel for BuildChainIterator to fill; Attach()
 /// folds the morsel profiles into a single chain child (morsel order),
 /// attributes the survey's pruning delta to the chain's scan leaf — the
-/// chunk-restricted morsel scans never see the chunks the coordinator's
+/// single-chunk morsel scans never see the chunks the coordinator's
 /// survey already dropped — and registers the unit under the
 /// materialized node that replaced the pipeline.
 class UnitProfile {
@@ -107,10 +86,8 @@ class UnitProfile {
     unit_ = std::make_unique<obs::OperatorProfile>();
     unit_->name = util::StrFormat("Parallel[%s]", op);
     unit_->parallel = true;
-    morsel_profs_.resize(mp.morsels.size());
-    size_t surviving = 0;
-    for (const auto& m : mp.morsels) surviving += m.size();
-    pruned_ = mp.setup.store->num_chunks() - surviving;
+    morsel_profs_.resize(mp.chunks.size());
+    pruned_ = mp.setup.store->num_chunks() - mp.chunks.size();
     if constexpr (obs::kProfilingCompiledIn) t0_ = obs::RuntimeNowNs();
   }
 
@@ -121,7 +98,7 @@ class UnitProfile {
   /// The unit node itself (for RunMorsels); null when not profiling.
   obs::OperatorProfile* unit() { return unit_.get(); }
 
-  /// Brackets the deterministic merge cascade (accumulates merge_ns).
+  /// Brackets the deterministic combine step (accumulates merge_ns).
   void BeginMerge() {
     if constexpr (obs::kProfilingCompiledIn) {
       if (unit_ != nullptr) merge_t0_ = obs::RuntimeNowNs();
@@ -165,20 +142,19 @@ class UnitProfile {
 /// error of the lowest-indexed failing morsel — which is exactly the
 /// error the serial engine would hit first: chunk-level errors are
 /// deterministic and position-independent, so the earliest failing chunk
-/// lives in the lowest failing morsel, whose own first failure it is.
+/// is the lowest failing morsel.
 util::Status RunMorsels(
     RewriteCtx& ctx, const MorselPlan& mp, const char* op,
     const std::function<util::Status(size_t, MorselStat*)>& fn,
     obs::OperatorProfile* up = nullptr) {
-  size_t m = mp.morsels.size();
+  size_t m = mp.chunks.size();
   std::vector<util::Status> errs(m, util::Status::OK());
   std::vector<MorselStat> stats(m);
   parallel::TaskGroup group(ctx.pool);
   group.ParallelFor(m, [&](size_t i) {
     auto t0 = std::chrono::steady_clock::now();
     stats[i].morsel = i;
-    stats[i].first_chunk = mp.morsels[i].front();
-    stats[i].chunks = mp.morsels[i].size();
+    stats[i].chunk = mp.chunks[i];
     errs[i] = fn(i, &stats[i]);
     stats[i].wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -199,21 +175,42 @@ util::Status RunMorsels(
   return util::Status::OK();
 }
 
-util::Status DrainToRows(BatchIterator& it, size_t width,
-                         std::vector<Row>* out) {
-  for (;;) {
-    FF_ASSIGN_OR_RETURN(const Batch* b, it.Next());
-    if (b == nullptr) return util::Status::OK();
-    for (size_t k = 0; k < b->ActiveRows(); ++k) {
-      out->push_back(b->MaterializeRow(b->RowAt(k), width));
-    }
-  }
-}
-
-PlanPtr Materialize(Schema schema, std::vector<Row> rows) {
+PlanPtr Materialize(Schema schema, std::vector<Row> rows,
+                    std::vector<size_t> batch_ends = {}) {
   return std::make_shared<MaterializedNode>(
       std::move(schema),
-      std::make_shared<const std::vector<Row>>(std::move(rows)));
+      std::make_shared<const std::vector<Row>>(std::move(rows)),
+      std::move(batch_ends));
+}
+
+/// Pass-through that adds the rows its input emits to `*rows`.
+class RowCounter : public BatchIterator {
+ public:
+  RowCounter(IterPtr input, size_t* rows)
+      : input_(std::move(input)), rows_(rows) {}
+
+  const Schema& schema() const override { return input_->schema(); }
+
+  util::StatusOr<const Batch*> Next() override {
+    FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
+    if (in != nullptr) *rows_ += in->ActiveRows();
+    return in;
+  }
+
+ private:
+  IterPtr input_;
+  size_t* rows_;
+};
+
+/// Morsel `i`'s chain: `chain` over its one chunk, counting the rows it
+/// emits into MorselStat::rows (the same measure for every op).
+util::StatusOr<IterPtr> MorselChain(const PlanNode& chain,
+                                    const MorselPlan& mp, size_t i,
+                                    UnitProfile& prof, MorselStat* st) {
+  FF_ASSIGN_OR_RETURN(IterPtr it, BuildChainIterator(chain, &mp.setup,
+                                                     mp.chunks[i],
+                                                     prof.morsel(i)));
+  return IterPtr(std::make_unique<RowCounter>(std::move(it), &st->rows));
 }
 
 // ------------------------------------------------------- parallel units
@@ -221,26 +218,33 @@ PlanPtr Materialize(Schema schema, std::vector<Row> rows) {
 // Each unit returns nullptr when the chain is too small to parallelize
 // (the caller keeps the serial node).
 
-/// scan -> filter -> project, full output consumed: drain each morsel
-/// into rows, concatenate in morsel order.
-util::StatusOr<PlanPtr> CollectChain(const PlanPtr& chain, RewriteCtx& ctx) {
+/// scan -> filter -> project, optionally capped by `op_node`: a Distinct
+/// or a top-k Sort. Each morsel drains its chunk of the chain — through
+/// its own instance of the serial operator, when there is one — into
+/// rows. The combine concatenates the morsel outputs in morsel order, one
+/// batch per non-empty morsel (the serial chain's batches, one per
+/// chunk), and runs the operator once more over the concatenation, so
+/// duplicates and ties resolve by morsel, then by arrival inside the
+/// morsel: the serial arrival order. The result keeps the batch
+/// boundaries of the last pass, which are the serial pipeline's.
+util::StatusOr<PlanPtr> RowsChain(const PlanNode& chain,
+                                  const PlanNode* op_node, const char* op,
+                                  RewriteCtx& ctx) {
   MorselPlan mp;
-  FF_ASSIGN_OR_RETURN(bool eligible, PlanMorsels(*chain, ctx, &mp));
+  FF_ASSIGN_OR_RETURN(bool eligible, PlanMorsels(chain, ctx, &mp));
   if (!eligible) return PlanPtr(nullptr);
-  UnitProfile prof(ctx, "collect", mp);
-  FF_ASSIGN_OR_RETURN(Schema schema, InferSchema(*chain, ctx.db));
-  size_t width = schema.num_columns();
+  UnitProfile prof(ctx, op, mp);
+  FF_ASSIGN_OR_RETURN(Schema schema, InferSchema(chain, ctx.db));
 
-  std::vector<std::vector<Row>> slots(mp.morsels.size());
+  std::vector<std::vector<Row>> slots(mp.chunks.size());
   FF_RETURN_IF_ERROR(RunMorsels(
-      ctx, mp, "collect",
+      ctx, mp, op,
       [&](size_t i, MorselStat* st) -> util::Status {
-        FF_ASSIGN_OR_RETURN(
-            IterPtr it, BuildChainIterator(*chain, &mp.setup, mp.morsels[i],
-                                           prof.morsel(i)));
-        FF_RETURN_IF_ERROR(DrainToRows(*it, width, &slots[i]));
-        st->rows = slots[i].size();
-        return util::Status::OK();
+        FF_ASSIGN_OR_RETURN(IterPtr it, MorselChain(chain, mp, i, prof, st));
+        if (op_node != nullptr) {
+          FF_ASSIGN_OR_RETURN(it, BuildIteratorOver(*op_node, std::move(it)));
+        }
+        return DrainRows(*it, &slots[i]);
       },
       prof.unit()));
 
@@ -248,20 +252,35 @@ util::StatusOr<PlanPtr> CollectChain(const PlanPtr& chain, RewriteCtx& ctx) {
   size_t total = 0;
   for (const auto& s : slots) total += s.size();
   std::vector<Row> rows;
+  std::vector<size_t> ends;
   rows.reserve(total);
   for (auto& s : slots) {
+    if (s.empty()) continue;
     for (auto& r : s) rows.push_back(std::move(r));
+    ends.push_back(rows.size());
+  }
+  if (op_node != nullptr) {
+    MaterializedNode concat(
+        schema, std::make_shared<const std::vector<Row>>(std::move(rows)),
+        std::move(ends));
+    FF_ASSIGN_OR_RETURN(IterPtr in, BuildIterator(concat, ctx.db));
+    FF_ASSIGN_OR_RETURN(IterPtr it, BuildIteratorOver(*op_node, std::move(in)));
+    rows.clear();
+    ends.clear();
+    FF_RETURN_IF_ERROR(DrainRows(*it, &rows, &ends));
   }
   prof.EndMerge();
-  PlanPtr out = Materialize(std::move(schema), std::move(rows));
+  total = rows.size();
+  PlanPtr out = Materialize(std::move(schema), std::move(rows),
+                            std::move(ends));
   prof.Attach(out, total);
   return out;
 }
 
-/// Aggregate over a chain: each morsel accumulates per-group partial
-/// streams; the merge replays them through AggState in morsel order, so
-/// order-sensitive folds (FP sums, first-wins min/max ties, P95 value
-/// order) reproduce the serial engine bit for bit.
+/// Aggregate over a chain: each morsel folds its chunk into a GroupedAgg
+/// partial, exactly as the serial operator folds that chunk's batch, and
+/// the combine merges the partials in morsel order — the serial
+/// operator's own sequence of AggState::Merge calls.
 util::StatusOr<PlanPtr> AggregateChain(const AggregateNode& agg,
                                        RewriteCtx& ctx) {
   MorselPlan mp;
@@ -274,113 +293,21 @@ util::StatusOr<PlanPtr> AggregateChain(const AggregateNode& agg,
       Schema out_schema,
       AggOutputSchema(in_schema, agg.group_by, agg.aggs, &key_cols));
 
-  // Per-morsel, per-group, per-aggregate partial: the non-null argument
-  // values in arrival order (kCountStar needs only the count).
-  struct PartialGroup {
-    Row key;
-    std::vector<size_t> star_counts;
-    std::vector<std::vector<Value>> streams;
-  };
-  struct MorselOut {
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    std::vector<PartialGroup> groups;
-  };
-  std::vector<MorselOut> slots(mp.morsels.size());
-  size_t num_aggs = agg.aggs.size();
-
+  std::vector<GroupedAgg> slots(mp.chunks.size(),
+                                GroupedAgg(&agg.aggs, key_cols));
   FF_RETURN_IF_ERROR(RunMorsels(
       ctx, mp, "aggregate",
-      [&](size_t mi, MorselStat* st) -> util::Status {
-        FF_ASSIGN_OR_RETURN(
-            IterPtr it, BuildChainIterator(*agg.input, &mp.setup,
-                                           mp.morsels[mi], prof.morsel(mi)));
-        MorselOut& out = slots[mi];
-        Row key;
-        for (;;) {
-          FF_ASSIGN_OR_RETURN(const Batch* in, it->Next());
-          if (in == nullptr) break;
-          size_t n = in->ActiveRows();
-          st->rows += n;
-          const uint32_t* sel = in->has_sel ? in->sel.data() : nullptr;
-          // Mirrors AggregateIterator: one vectorized evaluation per
-          // aggregate per batch.
-          std::vector<ColumnVector> argv(num_aggs);
-          for (size_t a = 0; a < num_aggs; ++a) {
-            if (agg.aggs[a].func == AggFunc::kCountStar) continue;
-            FF_ASSIGN_OR_RETURN(
-                argv[a],
-                EvalBatch(*agg.aggs[a].arg, *in, in_schema, sel, n));
-          }
-          for (size_t k = 0; k < n; ++k) {
-            size_t r = in->RowAt(k);
-            key.clear();
-            for (size_t i : key_cols) key.push_back(in->CellValue(r, i));
-            auto [pos, inserted] = out.index.try_emplace(key,
-                                                         out.groups.size());
-            if (inserted) {
-              out.groups.push_back(PartialGroup{
-                  key, std::vector<size_t>(num_aggs, 0),
-                  std::vector<std::vector<Value>>(num_aggs)});
-            }
-            PartialGroup& g = out.groups[pos->second];
-            for (size_t a = 0; a < num_aggs; ++a) {
-              if (agg.aggs[a].func == AggFunc::kCountStar) {
-                ++g.star_counts[a];
-                continue;
-              }
-              const ColumnVector& v = argv[a];
-              // AggState::Add ignores NULL entirely, so NULLs can be
-              // dropped from the stream without changing the replay.
-              if (v.vals != nullptr) {
-                if (!v.vals[k].is_null()) g.streams[a].push_back(v.vals[k]);
-              } else if (v.IsNull(k)) {
-                // skip
-              } else if (v.type == DataType::kInt64) {
-                g.streams[a].push_back(Value::Int64(v.i64[k]));
-              } else if (v.type == DataType::kDouble) {
-                g.streams[a].push_back(Value::Double(v.f64[k]));
-              } else {
-                g.streams[a].push_back(v.GetValue(k));
-              }
-            }
-          }
-        }
-        return util::Status::OK();
+      [&](size_t i, MorselStat* st) -> util::Status {
+        FF_ASSIGN_OR_RETURN(IterPtr it,
+                            MorselChain(*agg.input, mp, i, prof, st));
+        return slots[i].FoldAll(*it);
       },
       prof.unit()));
 
   prof.BeginMerge();
-  // Merge cascade: groups in first-seen morsel order, streams replayed
-  // through the serial accumulator (plan.h's typed adds are documented
-  // to match Add(Value) observably, so replay via Add is exact).
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index;
-  std::vector<Group> groups;
-  for (const auto& morsel : slots) {
-    for (const auto& pg : morsel.groups) {
-      auto [pos, inserted] = group_index.try_emplace(pg.key, groups.size());
-      if (inserted) groups.push_back(Group{pg.key, NewAggStates(agg.aggs)});
-      Group& g = groups[pos->second];
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (agg.aggs[a].func == AggFunc::kCountStar) {
-          g.states[a].count += pg.star_counts[a];
-          continue;
-        }
-        for (const Value& v : pg.streams[a]) g.states[a].Add(v);
-      }
-    }
-  }
-  if (groups.empty() && key_cols.empty()) {
-    groups.push_back(Group{{}, NewAggStates(agg.aggs)});
-  }
-  std::vector<Row> rows;
-  rows.reserve(groups.size());
-  for (const auto& g : groups) {
-    rows.push_back(FinalizeAggRow(g.key, g.states, agg.aggs, out_schema));
-  }
+  GroupedAgg groups(&agg.aggs, std::move(key_cols));
+  for (const GroupedAgg& s : slots) groups.Merge(s);
+  std::vector<Row> rows = groups.Finish(out_schema);
   prof.EndMerge();
   size_t total = rows.size();
   PlanPtr out = Materialize(std::move(out_schema), std::move(rows));
@@ -388,134 +315,37 @@ util::StatusOr<PlanPtr> AggregateChain(const AggregateNode& agg,
   return out;
 }
 
-/// Distinct over a chain: per-morsel first-occurrence sets, merged in
-/// morsel order (so the survivor of each duplicate is the serial one).
-util::StatusOr<PlanPtr> DistinctChain(const DistinctNode& distinct,
-                                      RewriteCtx& ctx) {
-  MorselPlan mp;
-  FF_ASSIGN_OR_RETURN(bool eligible, PlanMorsels(*distinct.input, ctx, &mp));
-  if (!eligible) return PlanPtr(nullptr);
-  UnitProfile prof(ctx, "distinct", mp);
-  FF_ASSIGN_OR_RETURN(Schema schema, InferSchema(*distinct.input, ctx.db));
-  size_t width = schema.num_columns();
-
-  std::vector<std::vector<Row>> slots(mp.morsels.size());
-  FF_RETURN_IF_ERROR(RunMorsels(
-      ctx, mp, "distinct",
-      [&](size_t i, MorselStat* st) -> util::Status {
-        FF_ASSIGN_OR_RETURN(
-            IterPtr it, BuildChainIterator(*distinct.input, &mp.setup,
-                                           mp.morsels[i], prof.morsel(i)));
-        std::unordered_set<Row, RowHash, RowEq> seen;
-        for (;;) {
-          FF_ASSIGN_OR_RETURN(const Batch* in, it->Next());
-          if (in == nullptr) break;
-          st->rows += in->ActiveRows();
-          for (size_t k = 0; k < in->ActiveRows(); ++k) {
-            Row row = in->MaterializeRow(in->RowAt(k), width);
-            if (seen.insert(row).second) slots[i].push_back(std::move(row));
-          }
-        }
-        return util::Status::OK();
-      },
-      prof.unit()));
-
-  prof.BeginMerge();
-  std::unordered_set<Row, RowHash, RowEq> seen;
-  std::vector<Row> rows;
-  for (auto& s : slots) {
-    for (auto& row : s) {
-      if (seen.insert(row).second) rows.push_back(std::move(row));
-    }
-  }
-  prof.EndMerge();
-  size_t total = rows.size();
-  PlanPtr out = Materialize(std::move(schema), std::move(rows));
-  prof.Attach(out, total);
-  return out;
-}
-
-/// Top-k Sort over a chain: per-morsel k-heaps under (keys, seq) with
-/// seq = (morsel << 32) | local arrival — the same total order as serial
-/// arrival — then one k-heap over the retained candidates.
-util::StatusOr<PlanPtr> TopKChain(const SortNode& sort, RewriteCtx& ctx) {
-  MorselPlan mp;
-  FF_ASSIGN_OR_RETURN(bool eligible, PlanMorsels(*sort.input, ctx, &mp));
-  if (!eligible) return PlanPtr(nullptr);
-  UnitProfile prof(ctx, "topk", mp);
-  FF_ASSIGN_OR_RETURN(Schema schema, InferSchema(*sort.input, ctx.db));
-  size_t width = schema.num_columns();
-  std::vector<size_t> cols;
-  for (const auto& k : sort.keys) {
-    FF_ASSIGN_OR_RETURN(size_t i, schema.IndexOf(k.column));
-    cols.push_back(i);
-  }
-
-  struct Entry {
-    Row row;
-    uint64_t seq;
-  };
-  auto before = [&](const Entry& a, const Entry& b) {
-    for (size_t k = 0; k < cols.size(); ++k) {
-      int c = a.row[cols[k]].Compare(b.row[cols[k]]);
-      if (c != 0) return sort.keys[k].ascending ? c < 0 : c > 0;
-    }
-    return a.seq < b.seq;
-  };
-  using Heap =
-      std::priority_queue<Entry, std::vector<Entry>, decltype(before)>;
-
-  std::vector<std::vector<Entry>> slots(mp.morsels.size());
-  FF_RETURN_IF_ERROR(RunMorsels(
-      ctx, mp, "topk",
-      [&](size_t i, MorselStat* st) -> util::Status {
-        FF_ASSIGN_OR_RETURN(
-            IterPtr it, BuildChainIterator(*sort.input, &mp.setup,
-                                           mp.morsels[i], prof.morsel(i)));
-        Heap heap(before);
-        uint64_t local = 0;
-        for (;;) {
-          FF_ASSIGN_OR_RETURN(const Batch* in, it->Next());
-          if (in == nullptr) break;
-          st->rows += in->ActiveRows();
-          for (size_t k = 0; k < in->ActiveRows(); ++k) {
-            heap.push(Entry{in->MaterializeRow(in->RowAt(k), width),
-                            (static_cast<uint64_t>(i) << 32) | local++});
-            if (heap.size() > sort.limit_hint) heap.pop();
-          }
-        }
-        slots[i].reserve(heap.size());
-        while (!heap.empty()) {
-          slots[i].push_back(std::move(const_cast<Entry&>(heap.top())));
-          heap.pop();
-        }
-        return util::Status::OK();
-      },
-      prof.unit()));
-
-  // Every row of the global top-k is in its morsel's top-k, so merging
-  // the per-morsel survivors loses nothing.
-  prof.BeginMerge();
-  Heap heap(before);
-  for (auto& s : slots) {
-    for (auto& e : s) {
-      heap.push(std::move(e));
-      if (heap.size() > sort.limit_hint) heap.pop();
-    }
-  }
-  std::vector<Row> rows(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    rows[i] = std::move(const_cast<Entry&>(heap.top()).row);
-    heap.pop();
-  }
-  prof.EndMerge();
-  size_t total = rows.size();
-  PlanPtr out = Materialize(std::move(schema), std::move(rows));
-  prof.Attach(out, total);
-  return out;
-}
-
 // -------------------------------------------------------------- rewrite
+
+/// `n`, a single-input operator, with its input replaced by `in`.
+PlanPtr WithInput(const PlanNode& n, PlanPtr in) {
+  switch (n.kind()) {
+    case PlanKind::kFilter:
+      return std::make_shared<FilterNode>(
+          std::move(in), static_cast<const FilterNode&>(n).predicate);
+    case PlanKind::kProject:
+      return std::make_shared<ProjectNode>(
+          std::move(in), static_cast<const ProjectNode&>(n).items);
+    case PlanKind::kAggregate: {
+      const auto& a = static_cast<const AggregateNode&>(n);
+      return std::make_shared<AggregateNode>(std::move(in), a.group_by,
+                                             a.aggs);
+    }
+    case PlanKind::kSort: {
+      const auto& s = static_cast<const SortNode&>(n);
+      return std::make_shared<SortNode>(std::move(in), s.keys, s.limit_hint);
+    }
+    case PlanKind::kLimit: {
+      const auto& l = static_cast<const LimitNode&>(n);
+      return std::make_shared<LimitNode>(std::move(in), l.limit, l.offset);
+    }
+    case PlanKind::kDistinct:
+      return std::make_shared<DistinctNode>(std::move(in));
+    default:
+      FF_CHECK(false) << "WithInput: not a single-input operator";
+      return nullptr;
+  }
+}
 
 /// Rewrites `node`, eagerly executing eligible pipelines and splicing
 /// their results back as MaterializedNodes. `allow_exec` is false when
@@ -529,121 +359,43 @@ util::StatusOr<PlanPtr> Rewrite(const PlanPtr& node, bool allow_exec,
                                 RewriteCtx& ctx) {
   if (IsChain(*node)) {
     if (!allow_exec) return node;
-    FF_ASSIGN_OR_RETURN(PlanPtr repl, CollectChain(node, ctx));
+    FF_ASSIGN_OR_RETURN(PlanPtr repl,
+                        RowsChain(*node, nullptr, "collect", ctx));
     return repl == nullptr ? node : repl;
   }
-  switch (node->kind()) {
-    case PlanKind::kAggregate: {
-      const auto& n = static_cast<const AggregateNode&>(*node);
-      if (IsChain(*n.input)) {
-        FF_ASSIGN_OR_RETURN(PlanPtr repl, AggregateChain(n, ctx));
-        return repl == nullptr ? node : repl;
-      }
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, true, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<AggregateNode>(std::move(in), n.group_by,
-                                          n.aggs));
-    }
-    case PlanKind::kDistinct: {
-      const auto& n = static_cast<const DistinctNode&>(*node);
-      if (IsChain(*n.input)) {
-        FF_ASSIGN_OR_RETURN(PlanPtr repl, DistinctChain(n, ctx));
-        return repl == nullptr ? node : repl;
-      }
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, true, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<DistinctNode>(std::move(in)));
-    }
-    case PlanKind::kSort: {
-      const auto& n = static_cast<const SortNode&>(*node);
-      if (n.limit_hint > 0 && IsChain(*n.input)) {
-        FF_ASSIGN_OR_RETURN(PlanPtr repl, TopKChain(n, ctx));
-        if (repl != nullptr) return repl;
-      }
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, true, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<SortNode>(std::move(in), n.keys, n.limit_hint));
-    }
-    case PlanKind::kLimit: {
-      const auto& n = static_cast<const LimitNode&>(*node);
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, false, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<LimitNode>(std::move(in), n.limit, n.offset));
-    }
-    case PlanKind::kFilter: {
-      const auto& n = static_cast<const FilterNode&>(*node);
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, allow_exec, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<FilterNode>(std::move(in), n.predicate));
-    }
-    case PlanKind::kProject: {
-      const auto& n = static_cast<const ProjectNode&>(*node);
-      FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(n.input, allow_exec, ctx));
-      if (in == n.input) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<ProjectNode>(std::move(in), n.items));
-    }
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(*node);
-      // The serial probe drains the build (right) side in full before
-      // pulling the first probe batch, so execute right before left.
-      FF_ASSIGN_OR_RETURN(PlanPtr r, Rewrite(n.right, true, ctx));
-      FF_ASSIGN_OR_RETURN(PlanPtr l, Rewrite(n.left, allow_exec, ctx));
-      if (l == n.left && r == n.right) return node;
-      return std::static_pointer_cast<const PlanNode>(
-          std::make_shared<HashJoinNode>(std::move(l), std::move(r),
-                                         n.left_col, n.right_col));
-    }
-    case PlanKind::kScan:          // bare scans are chains, handled above
-    case PlanKind::kMaterialized:  // already computed
-      return node;
+  PlanKind kind = node->kind();
+  if (kind == PlanKind::kMaterialized) return node;  // already computed
+  if (kind == PlanKind::kHashJoin) {
+    const auto& n = static_cast<const HashJoinNode&>(*node);
+    // The serial probe drains the build (right) side in full before
+    // pulling the first probe batch, so execute right before left.
+    FF_ASSIGN_OR_RETURN(PlanPtr r, Rewrite(n.right, true, ctx));
+    FF_ASSIGN_OR_RETURN(PlanPtr l, Rewrite(n.left, allow_exec, ctx));
+    if (l == n.left && r == n.right) return node;
+    return std::static_pointer_cast<const PlanNode>(
+        std::make_shared<HashJoinNode>(std::move(l), std::move(r),
+                                       n.left_col, n.right_col));
   }
-  return node;
-}
 
-util::StatusOr<ResultSet> DrainIterator(BatchIterator& it) {
-  ResultSet rs{it.schema(), {}};
-  size_t width = rs.schema.num_columns();
-  for (;;) {
-    FF_ASSIGN_OR_RETURN(const Batch* batch, it.Next());
-    if (batch == nullptr) break;
-    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      rs.rows.push_back(batch->MaterializeRow(batch->RowAt(k), width));
-    }
+  PlanPtr input = PlanInputs(*node)[0];
+  bool topk = kind == PlanKind::kSort &&
+              static_cast<const SortNode&>(*node).limit_hint > 0;
+  if (IsChain(*input) && (kind == PlanKind::kAggregate ||
+                          kind == PlanKind::kDistinct || topk)) {
+    util::StatusOr<PlanPtr> repl =
+        kind == PlanKind::kAggregate
+            ? AggregateChain(static_cast<const AggregateNode&>(*node), ctx)
+            : RowsChain(*input, node.get(), topk ? "topk" : "distinct", ctx);
+    if (!repl.ok() || *repl != nullptr) return repl;
+    return node;
   }
-  return rs;
-}
-
-/// Plan inputs in the order BuildIterator creates profile children:
-/// [0] = input (joins: [0] = left, [1] = right).
-std::vector<const PlanNode*> PlanInputs(const PlanNode& n) {
-  switch (n.kind()) {
-    case PlanKind::kFilter:
-      return {static_cast<const FilterNode&>(n).input.get()};
-    case PlanKind::kProject:
-      return {static_cast<const ProjectNode&>(n).input.get()};
-    case PlanKind::kAggregate:
-      return {static_cast<const AggregateNode&>(n).input.get()};
-    case PlanKind::kDistinct:
-      return {static_cast<const DistinctNode&>(n).input.get()};
-    case PlanKind::kSort:
-      return {static_cast<const SortNode&>(n).input.get()};
-    case PlanKind::kLimit:
-      return {static_cast<const LimitNode&>(n).input.get()};
-    case PlanKind::kHashJoin: {
-      const auto& j = static_cast<const HashJoinNode&>(n);
-      return {j.left.get(), j.right.get()};
-    }
-    case PlanKind::kScan:
-    case PlanKind::kMaterialized:
-      return {};
-  }
-  return {};
+  // Filter and Project stream their input, a Limit may stop pulling it
+  // early, and every other operator drains it fully.
+  bool exec = kind == PlanKind::kFilter || kind == PlanKind::kProject
+                  ? allow_exec
+                  : kind != PlanKind::kLimit;
+  FF_ASSIGN_OR_RETURN(PlanPtr in, Rewrite(input, exec, ctx));
+  return in == input ? node : WithInput(*node, std::move(in));
 }
 
 /// Lockstep walk of the rewritten plan and its serial profile tree,
@@ -664,7 +416,7 @@ void SpliceUnitProfiles(
     }
     return;
   }
-  std::vector<const PlanNode*> inputs = PlanInputs(plan);
+  std::vector<PlanPtr> inputs = PlanInputs(plan);
   for (size_t i = 0; i < inputs.size() && i < prof->children.size(); ++i) {
     SpliceUnitProfiles(*inputs[i], prof->children[i].get(), units);
   }
@@ -710,7 +462,7 @@ util::StatusOr<ResultSet> ExecuteParallelImpl(const PlanPtr& plan,
     }
     // Drain the prevalidated tree directly rather than paying a second
     // Init (notably a second index Lookup).
-    return DrainIterator(*prevalidated);
+    return Drain(*prevalidated);
   }
   if (rewritten->kind() == PlanKind::kMaterialized) {
     // The whole plan was executed in parallel; the merge result is
@@ -733,6 +485,53 @@ util::StatusOr<ResultSet> ExecuteParallelImpl(const PlanPtr& plan,
   return ExecuteColumnar(*rewritten, db);
 }
 
+/// The one result-cache path behind ExecuteOptimized and its profiled
+/// variant: consults, bypasses or fills the cache, and executes on a
+/// miss. A non-null `profile` also gets the cache= and engine= labels
+/// and the whole call's total_ns.
+util::StatusOr<ResultSet> ExecuteCached(const PlanPtr& optimized,
+                                        const Database& db,
+                                        const ParallelConfig& config,
+                                        obs::QueryProfile* profile) {
+  if (optimized == nullptr) {
+    return util::Status::InvalidArgument("null plan");
+  }
+  const int64_t t0 = obs::kProfilingCompiledIn && profile != nullptr
+                         ? obs::RuntimeNowNs()
+                         : 0;
+  auto stamp_total = [&] {
+    if (obs::kProfilingCompiledIn && profile != nullptr) {
+      profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
+    }
+  };
+  QueryCache& qc = db.cache();
+  QueryCache::ResultKey key;
+  if (qc.config().mode == CacheConfig::Mode::kFull) {
+    key = QueryCache::MakeResultKey(*optimized, db);
+  }
+  if (!key.cacheable) {
+    qc.RecordResultBypass();
+    if (profile != nullptr) profile->cache = "bypass";
+  } else if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
+    // Nothing executed: no operator tree, and the engine label says so.
+    // The result bytes are identical to a real run by contract.
+    if (profile != nullptr) {
+      profile->cache = "hit";
+      profile->engine = "cache";
+    }
+    stamp_total();
+    return *hit;  // copy out; the cached ResultSet stays immutable
+  } else if (profile != nullptr) {
+    profile->cache = "miss";
+  }
+  auto result = ExecuteParallelImpl(optimized, db, config, profile);
+  // Whole-call wall time, covering parallel units executed during the
+  // rewrite as well as the final serial drain.
+  stamp_total();
+  if (key.cacheable && result.ok()) qc.PutResult(key, *result);
+  return result;
+}
+
 }  // namespace
 
 ParallelConfig ParallelConfig::FromEnv() {
@@ -744,19 +543,10 @@ ParallelConfig ParallelConfig::FromEnv() {
     cfg.enabled = false;
     return cfg;
   }
-  size_t colon = v.find(':');
-  std::string threads = colon == std::string::npos ? v : v.substr(0, colon);
   char* end = nullptr;
-  unsigned long t = std::strtoul(threads.c_str(), &end, 10);
+  unsigned long t = std::strtoul(v.c_str(), &end, 10);
   if (end != nullptr && *end == '\0' && t > 0) {
     cfg.max_threads = static_cast<size_t>(t);
-  }
-  if (colon != std::string::npos) {
-    std::string chunks = v.substr(colon + 1);
-    unsigned long m = std::strtoul(chunks.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0' && m > 0) {
-      cfg.morsel_chunks = static_cast<size_t>(m);
-    }
   }
   return cfg;
 }
@@ -774,25 +564,7 @@ util::StatusOr<ResultSet> ExecuteParallel(const PlanPtr& plan,
 
 util::StatusOr<ResultSet> ExecuteOptimized(const PlanPtr& optimized,
                                            const Database& db) {
-  if (optimized == nullptr) {
-    return util::Status::InvalidArgument("null plan");
-  }
-  QueryCache& qc = db.cache();
-  if (qc.config().mode != CacheConfig::Mode::kFull) {
-    qc.RecordResultBypass();
-    return ExecuteParallel(optimized, db);
-  }
-  QueryCache::ResultKey key = QueryCache::MakeResultKey(*optimized, db);
-  if (!key.cacheable) {
-    qc.RecordResultBypass();
-    return ExecuteParallel(optimized, db);
-  }
-  if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
-    return *hit;  // copy out; the cached ResultSet stays immutable
-  }
-  util::StatusOr<ResultSet> result = ExecuteParallel(optimized, db);
-  if (result.ok()) qc.PutResult(key, *result);
-  return result;
+  return ExecuteCached(optimized, db, db.parallel_config(), nullptr);
 }
 
 util::StatusOr<ResultSet> ExecuteOptimizedProfiled(
@@ -801,41 +573,7 @@ util::StatusOr<ResultSet> ExecuteOptimizedProfiled(
   if (profile == nullptr) {
     return util::Status::InvalidArgument("null profile");
   }
-  if (optimized == nullptr) {
-    return util::Status::InvalidArgument("null plan");
-  }
-  const int64_t t0 = obs::kProfilingCompiledIn ? obs::RuntimeNowNs() : 0;
-  QueryCache& qc = db.cache();
-  QueryCache::ResultKey key;
-  if (qc.config().mode != CacheConfig::Mode::kFull) {
-    qc.RecordResultBypass();
-    profile->cache = "bypass";
-  } else {
-    key = QueryCache::MakeResultKey(*optimized, db);
-    if (!key.cacheable) {
-      qc.RecordResultBypass();
-      profile->cache = "bypass";
-    } else if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
-      // Nothing executed: no operator tree, and the engine label says
-      // so. The result bytes are identical to a real run by contract.
-      profile->cache = "hit";
-      profile->engine = "cache";
-      if (obs::kProfilingCompiledIn) {
-        profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
-      }
-      return *hit;
-    } else {
-      profile->cache = "miss";
-    }
-  }
-  auto result = ExecuteParallelImpl(optimized, db, config, profile);
-  if (obs::kProfilingCompiledIn) {
-    // Whole-call wall time, covering parallel units executed during the
-    // rewrite as well as the final serial drain.
-    profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
-  }
-  if (key.cacheable && result.ok()) qc.PutResult(key, *result);
-  return result;
+  return ExecuteCached(optimized, db, config, profile);
 }
 
 util::StatusOr<ResultSet> ExecutePlanProfiled(const PlanPtr& plan,

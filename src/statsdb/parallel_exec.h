@@ -6,26 +6,38 @@
 // optionally capped by a pipeline breaker (Aggregate, Distinct, top-k
 // Sort) or feeding a hash-join side. Eligible chains are executed
 // eagerly: the coordinator prepares the scan once (table lookup, index
-// probe, zone-map refresh), surveys the surviving chunks, groups them
-// into morsels of `morsel_chunks` consecutive 4096-row chunks, and fans
-// the morsels across the pool with a TaskGroup (safe even when the
-// query itself runs inside a pool task, e.g. a sweep replica). Each
-// worker drains a chunk-restricted copy of the chain into a private
-// partial state; a deterministic merge cascade combines the partials in
-// morsel order. The merged result is spliced back into the plan as a
+// probe, zone-map refresh), surveys the surviving chunks, and fans one
+// morsel per surviving 4096-row chunk across the pool with a TaskGroup
+// (safe even when the query itself runs inside a pool task, e.g. a
+// sweep replica). Each morsel runs the serial operators of exec.h over
+// its chunk into a partial; the coordinator combines the partials in
+// morsel order. The result is spliced back into the plan as a
 // MaterializedNode and the remaining serial operators run unchanged.
+// This file plans, runs and combines morsels; it has no per-row loop.
 //
 // Determinism contract: results are byte-identical to the serial
-// vectorized engine (exec.h) — row order, group order, and error
-// messages — at any thread count. The merge replays order-sensitive
-// folds (SUM/AVG buffer their value stream; MIN/MAX/P95 replay through
-// AggState::Add) in morsel order, distinct/group orders are
-// first-occurrence in morsel order, top-k seq numbers are
-// (morsel << 32) | local so heap ties break exactly as the serial
-// arrival order, and runtime errors are reported from the
-// lowest-indexed failing morsel, which is provably the error the serial
-// engine would have hit first. Chains consumed with early exit (under a
-// Limit with no intervening breaker) are never parallelized.
+// vectorized engine (exec.h) — row order, group order, every bit of
+// every double, and error messages — at any thread count. A morsel is
+// exactly one chunk, and a serial scan chain emits exactly one batch
+// per chunk, so:
+//  - Aggregates: the serial operator folds each batch into fresh
+//    per-group partial states and merges them into its running groups
+//    (GroupedAgg); a morsel folds its one batch the same way, and the
+//    combine merges the morsel partials in morsel order. Both engines
+//    make the same sequence of AggState::Merge calls.
+//  - Distinct and top-k: each morsel runs the serial operator over its
+//    chunk; the combine runs it once more over the morsel outputs
+//    concatenated in morsel order. Duplicates and ties resolve by
+//    morsel, then by arrival inside the morsel: the serial arrival
+//    order.
+//  - Serial operators above a unit (e.g. an Aggregate over a join whose
+//    probe side was collected in parallel) see the serial batches: the
+//    MaterializedNode keeps the batch boundaries of the pipeline it
+//    replaced, one batch per non-empty chunk for a collected chain.
+//  - Errors: the lowest-indexed failing morsel's error is reported,
+//    which is provably the error the serial engine would hit first.
+// Chains consumed with early exit (under a Limit with no intervening
+// breaker) are never parallelized.
 
 #ifndef FF_STATSDB_PARALLEL_EXEC_H_
 #define FF_STATSDB_PARALLEL_EXEC_H_
@@ -52,9 +64,8 @@ class Database;
 /// obs layer turns these into Chrome-trace spans).
 struct MorselStat {
   size_t morsel = 0;       // index in dispatch order
-  size_t first_chunk = 0;  // first ColumnStore chunk covered
-  size_t chunks = 0;       // chunks in the morsel (post zone-pruning)
-  size_t rows = 0;         // rows the morsel emitted into its partial
+  size_t chunk = 0;        // the ColumnStore chunk the morsel scanned
+  size_t rows = 0;         // rows the morsel's chain emitted (op input)
   double wall_ms = 0.0;    // worker-side execution time
 };
 
@@ -69,7 +80,6 @@ using MorselHook =
 /// FF_STATSDB_PARALLEL environment variable:
 ///   FF_STATSDB_PARALLEL=off|0|false   disable (serial execution)
 ///   FF_STATSDB_PARALLEL=N             cap at N threads
-///   FF_STATSDB_PARALLEL=N:M           ... and M chunks per morsel
 struct ParallelConfig {
   /// Master switch; with `false` every query runs serial.
   bool enabled = true;
@@ -77,8 +87,6 @@ struct ParallelConfig {
   /// exceed 1 for any query to go parallel (so single-core hosts pay
   /// zero overhead — no pool is ever created).
   size_t max_threads = 0;
-  /// Consecutive surviving chunks (4096 rows each) per morsel.
-  size_t morsel_chunks = 1;
   /// Chains whose zone-map survey yields fewer chunks than this stay
   /// serial: tiny queries should not pay fan-out overhead.
   size_t min_chunks = 4;

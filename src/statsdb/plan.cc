@@ -48,6 +48,19 @@ void AggState::AddDouble(double v) {
   }
 }
 
+void AggState::Merge(const AggState& o) {
+  count += o.count;
+  sum += o.sum;
+  sum_is_double = sum_is_double || o.sum_is_double;
+  values.insert(values.end(), o.values.begin(), o.values.end());
+  if (!o.min_v.is_null() && (min_v.is_null() || o.min_v.Compare(min_v) < 0)) {
+    min_v = o.min_v;
+  }
+  if (!o.max_v.is_null() && (max_v.is_null() || o.max_v.Compare(max_v) > 0)) {
+    max_v = o.max_v;
+  }
+}
+
 std::vector<AggState> NewAggStates(const std::vector<AggSpec>& aggs) {
   std::vector<AggState> states(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {

@@ -154,8 +154,11 @@ class HashJoinNode : public PlanNode {
 class MaterializedNode : public PlanNode {
  public:
   MaterializedNode(Schema schema_in,
-                   std::shared_ptr<const std::vector<Row>> rows_in)
-      : schema(std::move(schema_in)), rows(std::move(rows_in)) {}
+                   std::shared_ptr<const std::vector<Row>> rows_in,
+                   std::vector<size_t> batch_ends_in = {})
+      : schema(std::move(schema_in)),
+        rows(std::move(rows_in)),
+        batch_ends(std::move(batch_ends_in)) {}
 
   util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
@@ -163,6 +166,11 @@ class MaterializedNode : public PlanNode {
 
   Schema schema;
   std::shared_ptr<const std::vector<Row>> rows;
+  /// Ascending end offsets of the batches the vectorized engine streams
+  /// the rows as; empty = one batch. The parallel executor records the
+  /// batches of the serial pipeline a node replaces, so operators that
+  /// fold per batch (Aggregate) see the serial batching above it.
+  std::vector<size_t> batch_ends;
 };
 
 // ------------------------------------------------------- shared helpers
@@ -185,6 +193,10 @@ struct AggState {
   /// semantics as Add(Value::Int64(v)) / Add(Value::Double(v)).
   void AddInt64(int64_t v);
   void AddDouble(double v);
+  /// Folds a partial state over later rows into this one: counts and
+  /// sums add, P95 values append, and min/max keep the earlier value on
+  /// a Value::Compare tie. Merging into a fresh state copies `o` exactly.
+  void Merge(const AggState& o);
 };
 
 /// Fresh per-group accumulators; only P95 states buffer raw values.

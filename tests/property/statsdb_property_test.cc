@@ -68,7 +68,6 @@ class StatsDbPropertyTest : public ::testing::Test {
     for (const Variant& v : variants) {
       ParallelConfig cfg;
       cfg.max_threads = v.threads;
-      cfg.morsel_chunks = 1;
       cfg.min_chunks = 2;
       cfg.pool = v.pool;
       db_.set_parallel_config(cfg);
@@ -170,7 +169,6 @@ TEST_F(StatsDbPropertyTest, CacheOnMatchesCacheOffAcrossWritesAndPools) {
     for (const Variant& v : variants) {
       ParallelConfig cfg;
       cfg.max_threads = v.threads;
-      cfg.morsel_chunks = 1;
       cfg.min_chunks = 2;
       cfg.pool = v.pool;
       db_.set_parallel_config(cfg);

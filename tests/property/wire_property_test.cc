@@ -50,13 +50,14 @@ class WireEquivalence {
     ServerConfig cfg;
     cfg.port = 0;
     cfg.pool_threads = pool_threads;
-    // Match the in-process property lane's morsel sizing: the table is
-    // only two chunks, so min_chunks must drop for parallel scans to
-    // engage at all.
-    cfg.morsel_chunks = 1;
-    cfg.min_chunks = 2;
     server_ = std::make_unique<Server>(cfg);
     statsdb::property::BuildPropertyTables(&server_->db());
+    // Match the in-process property lane's morsel sizing: the table is
+    // only two chunks, so min_chunks must drop for parallel scans to
+    // engage at all. Start() keeps the database's own morsel sizing.
+    ParallelConfig pc = server_->db().parallel_config();
+    pc.min_chunks = 2;
+    server_->db().set_parallel_config(pc);
     util::Status st = server_->Start();
     ASSERT_TRUE(st.ok()) << st.ToString();
 

@@ -67,7 +67,6 @@ class ExplainTest : public ::testing::Test {
   void UseParallel() {
     ParallelConfig cfg;
     cfg.max_threads = 4;
-    cfg.morsel_chunks = 1;
     cfg.min_chunks = 2;
     db_.set_parallel_config(cfg);
   }

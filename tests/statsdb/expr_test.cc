@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ff {
 namespace statsdb {
 namespace {
@@ -142,6 +144,13 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// ctest names each case after its printed parameter; gtest's default byte
+// dump would print the string pointers, which move with every build.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.match ? "true" : "false");
+}
 
 class LikeMatchSweep : public ::testing::TestWithParam<LikeCase> {};
 

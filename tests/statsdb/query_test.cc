@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "statsdb/database.h"
+#include "statsdb/plan.h"
+#include "util/rng.h"
 
 namespace ff {
 namespace statsdb {
@@ -222,6 +227,106 @@ TEST_F(QueryTest, ToCsvAndPretty) {
   EXPECT_EQ(rs->ToCsv(), "forecast\ncoos\ndev\ntill\n");
   std::string pretty = rs->ToPrettyString();
   EXPECT_NE(pretty.find("| coos"), std::string::npos);
+}
+
+// Finalized COUNT, SUM, AVG, MIN, MAX and P95 of one state, compared by
+// type and raw bits.
+void ExpectSameAggregates(const AggState& got, const AggState& want) {
+  const std::vector<AggSpec> specs = {
+      {AggFunc::kCount, nullptr, "n"}, {AggFunc::kSum, nullptr, "s"},
+      {AggFunc::kAvg, nullptr, "a"},   {AggFunc::kMin, nullptr, "lo"},
+      {AggFunc::kMax, nullptr, "hi"},  {AggFunc::kP95, nullptr, "p"}};
+  const Schema schema({{"n", DataType::kInt64},
+                       {"s", DataType::kDouble},
+                       {"a", DataType::kDouble},
+                       {"lo", DataType::kDouble},
+                       {"hi", DataType::kDouble},
+                       {"p", DataType::kDouble}});
+  std::vector<AggState> g(specs.size(), got);
+  std::vector<AggState> w(specs.size(), want);
+  Row a = FinalizeAggRow({}, g, specs, schema);
+  Row b = FinalizeAggRow({}, w, specs, schema);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].type(), b[i].type()) << specs[i].alias;
+    if (a[i].type() == DataType::kDouble) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].double_value()),
+                std::bit_cast<uint64_t>(b[i].double_value()))
+          << specs[i].alias << ": " << a[i].double_value() << " vs "
+          << b[i].double_value();
+    } else {
+      EXPECT_EQ(a[i].ToString(), b[i].ToString()) << specs[i].alias;
+    }
+  }
+}
+
+// AggState::Merge is how both engines combine partial states (per batch
+// serially, per morsel in parallel). Random int, double and NULL streams
+// are split at random points into partials folded with Add; merging the
+// partials one after another into a running state must equal an
+// independent fold: counts add, sums add per partial, MIN/MAX keep the
+// first extreme value, and P95 sees every value in stream order.
+TEST(AggStateMergeTest, MergingSplitPartialsEqualsFoldingThemInOrder) {
+  util::Rng rng(0xa99);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Value> stream(static_cast<size_t>(rng.UniformInt(0, 40)));
+    for (Value& v : stream) {
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          v = Value::Null();
+          break;
+        case 1:
+          v = Value::Int64(rng.UniformInt(-20, 20));
+          break;
+        case 2:  // integral doubles tie with ints under Value::Compare
+          v = Value::Double(static_cast<double>(rng.UniformInt(-20, 20)));
+          break;
+        default:
+          v = Value::Double(rng.Uniform(-1e6, 1e6));
+          break;
+      }
+    }
+    std::vector<size_t> cuts = {0};
+    for (size_t i = 1; i < stream.size(); ++i) {
+      if (rng.Bernoulli(0.2)) cuts.push_back(i);
+    }
+    cuts.push_back(stream.size());
+
+    AggState fresh;
+    fresh.keep_values = true;
+    AggState merged = fresh;
+    AggState want = fresh;
+    for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+      AggState part = fresh;
+      double part_sum = 0.0;
+      for (size_t i = cuts[p]; i < cuts[p + 1]; ++i) {
+        const Value& v = stream[i];
+        part.Add(v);
+        if (v.is_null()) continue;
+        ++want.count;
+        part_sum += *v.AsDouble();
+        want.sum_is_double |= v.type() == DataType::kDouble;
+        want.values.push_back(*v.AsDouble());
+        if (want.min_v.is_null() || v.Compare(want.min_v) < 0) want.min_v = v;
+        if (want.max_v.is_null() || v.Compare(want.max_v) > 0) want.max_v = v;
+      }
+      want.sum += part_sum;
+
+      // Merging into a fresh state copies the partial exactly.
+      AggState copy = fresh;
+      copy.Merge(part);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAggregates(copy, part));
+      merged.Merge(part);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAggregates(merged, want));
+    EXPECT_EQ(merged.sum_is_double, want.sum_is_double);
+    if (!want.min_v.is_null()) {
+      // First-wins ties: an Int64 minimum seen first stays Int64.
+      EXPECT_EQ(merged.min_v.type(), want.min_v.type());
+      EXPECT_EQ(merged.max_v.type(), want.max_v.type());
+    }
+  }
 }
 
 }  // namespace
