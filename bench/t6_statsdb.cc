@@ -121,7 +121,7 @@ void BM_LoadRunsRowAtATime(benchmark::State& state) {
     for (const auto& r : records) {
       if (!logdata::AppendRun(*table, r).ok()) std::abort();
     }
-    benchmark::DoNotOptimize((*table)->rows().size());
+    benchmark::DoNotOptimize((*table)->num_rows());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(records.size()));

@@ -130,10 +130,10 @@ util::Status UpsertRun(Table* table, const LogRecord& record) {
       table->Lookup("forecast", Value::String(record.forecast)));
   FF_ASSIGN_OR_RETURN(size_t day_col, table->schema().IndexOf("day"));
   Row replacement = RecordToRow(record);
+  const statsdb::ColumnStore& store = table->store();
   for (size_t i : candidates) {
-    const Row& row = table->row(i);
-    if (!row[day_col].is_null() &&
-        row[day_col].int64_value() == record.day) {
+    Value day = store.GetValue(i, day_col);
+    if (!day.is_null() && day.int64_value() == record.day) {
       for (size_t c = 0; c < replacement.size(); ++c) {
         FF_RETURN_IF_ERROR(table->UpdateCell(i, c, replacement[c]));
       }

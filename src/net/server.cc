@@ -18,6 +18,7 @@
 
 #include "net/serialize.h"
 #include "obs/profiler.h"
+#include "statsdb/sql.h"
 
 namespace ff {
 namespace net {
@@ -608,9 +609,16 @@ bool Server::HandOffIfWrite(const std::shared_ptr<Session>& s,
     std::string sql(r.Rest());
     if (!IsWriteStatement(sql)) return false;
     uint8_t fl = *flags;
-    job = [this, s, sql = std::move(sql), fl] {
-      const int64_t t0 = obs::RuntimeNowNs();
-      StatusOr<ResultSet> result = db_.Sql(sql);
+    // Parse here, on the pool: parsing reads no table, so the writer
+    // thread only executes. The statement's exec time counts both.
+    const int64_t parse0 = obs::RuntimeNowNs();
+    StatusOr<statsdb::WriteStatement> parsed = statsdb::ParseWrite(sql);
+    const int64_t parse_ns = obs::RuntimeNowNs() - parse0;
+    job = [this, s, parsed = std::move(parsed), parse_ns, fl] {
+      const int64_t t0 = obs::RuntimeNowNs() - parse_ns;
+      StatusOr<ResultSet> result =
+          parsed.ok() ? statsdb::ExecuteWrite(&db_, *parsed)
+                      : StatusOr<ResultSet>(parsed.status());
       RecordExec(*s, t0);
       if (result.ok()) {
         SendResult(*s, *result, fl);

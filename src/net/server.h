@@ -34,19 +34,22 @@
 //    (CREATE/INSERT/UPDATE/DELETE) and maintenance jobs (runtime-table
 //    refresh, cache reconfiguration) queue here; each job runs under
 //    the exclusive side of the gate, then re-warms every table's lazy
-//    scan state (Table::store(): zone maps + null-bitmap padding) BEFORE
-//    releasing, so the concurrent read paths never hit the
-//    const-but-lazily-mutating branches. Writes never run on the pool:
-//    a pool task blocking exclusively while its worker "helps" another
-//    task that takes the shared side would deadlock. For the same
-//    reason a session task never BLOCKS on the writer either — it could
-//    be a help-first-stolen nested task on a thread that already holds
-//    the shared gate, and the writer would wait on that very holder.
-//    Instead a mutating frame is handed off: the drain task returns
-//    with its in-flight slot still claimed, the writer executes the
-//    statement, sends the response itself (no other thread can be
-//    writing that socket — the slot is claimed), and re-submits the
-//    drain task to continue the session in order.
+//    scan state (Table::store(): zone maps + null-bitmap padding, the
+//    only state a const Table call mutates; row views are built from
+//    the columns per call) BEFORE releasing, so the concurrent read
+//    paths never hit the const-but-lazily-mutating branches. Writes
+//    never run on the pool: a pool task blocking exclusively while its
+//    worker "helps" another task that takes the shared side would
+//    deadlock. For the same reason a session task never BLOCKS on the
+//    writer either — it could be a help-first-stolen nested task on a
+//    thread that already holds the shared gate, and the writer would
+//    wait on that very holder.
+//    Instead a mutating frame is handed off: the drain task parses it
+//    (statsdb::ParseWrite reads no table, so it needs no gate) and
+//    returns with its in-flight slot still claimed, the writer executes
+//    the parsed statement, sends the response itself (no other thread
+//    can be writing that socket — the slot is claimed), and re-submits
+//    the drain task to continue the session in order.
 //
 // The Database itself is not thread-safe by contract; this file is the
 // single place that contract is widened, and the rules above are the

@@ -234,7 +234,10 @@ void ColumnStore::Set(size_t row, size_t col, const Value& v) {
       break;
   }
   size_t chunk = row / kChunkRows;
-  if (chunk < c.zones.size()) c.zones[chunk].dirty = true;
+  if (chunk < c.zones.size() && !c.zones[chunk].dirty) {
+    c.zones[chunk].dirty = true;
+    c.dirty_chunks.push_back(chunk);
+  }
   zones_dirty_ = true;
 }
 
@@ -256,27 +259,112 @@ Value ColumnStore::GetValue(size_t row, size_t col) const {
   return Value::Null();
 }
 
+namespace {
+
+// Folds one non-null value into [*lo, *hi] the way Value::Compare orders
+// them: a value replaces the min when it compares below it and the max
+// when it compares above it (for doubles, anything neither equal to nor
+// below the max, so a NaN becomes the max).
+template <typename T>
+void Widen(T v, bool* any, T* lo, T* hi) {
+  if (!*any) {
+    *any = true;
+    *lo = v;
+    *hi = v;
+    return;
+  }
+  if (v < *lo) *lo = v;
+  if (!(v == *hi) && !(v < *hi)) *hi = v;
+}
+
+}  // namespace
+
+ZoneMap ColumnStore::ComputeZone(const ColumnData& c, size_t lo,
+                                 size_t hi) const {
+  ZoneMap z;
+  if (c.type == DataType::kNull) {
+    z.null_count = hi - lo;
+    return z;
+  }
+  const bool nullable = c.null_count > 0;
+  bool any = false;
+  switch (c.type) {
+    case DataType::kBool: {
+      bool mn = false, mx = false;
+      for (size_t r = lo; r < hi; ++r) {
+        if (nullable && c.IsNull(r)) continue;
+        Widen<bool>(c.bools[r] != 0, &any, &mn, &mx);
+      }
+      if (any) {
+        z.min_v = Value::Bool(mn);
+        z.max_v = Value::Bool(mx);
+      }
+      break;
+    }
+    case DataType::kInt64: {
+      int64_t mn = 0, mx = 0;
+      for (size_t r = lo; r < hi; ++r) {
+        if (nullable && c.IsNull(r)) continue;
+        Widen(c.ints[r], &any, &mn, &mx);
+      }
+      if (any) {
+        z.min_v = Value::Int64(mn);
+        z.max_v = Value::Int64(mx);
+      }
+      break;
+    }
+    case DataType::kDouble: {
+      double mn = 0, mx = 0;
+      for (size_t r = lo; r < hi; ++r) {
+        if (nullable && c.IsNull(r)) continue;
+        Widen(c.doubles[r], &any, &mn, &mx);
+      }
+      if (any) {
+        z.min_v = Value::Double(mn);
+        z.max_v = Value::Double(mx);
+      }
+      break;
+    }
+    case DataType::kString: {
+      // Equal strings share one code, so only a new code can move a bound.
+      uint32_t mn = 0, mx = 0;
+      for (size_t r = lo; r < hi; ++r) {
+        if (nullable && c.IsNull(r)) continue;
+        const uint32_t code = c.codes[r];
+        if (!any) {
+          any = true;
+          mn = mx = code;
+          continue;
+        }
+        if (code == mn || code == mx) continue;
+        if (c.dict.at(code) < c.dict.at(mn)) mn = code;
+        if (c.dict.at(code) > c.dict.at(mx)) mx = code;
+      }
+      if (any) {
+        z.min_v = Value::String(c.dict.at(mn));
+        z.max_v = Value::String(c.dict.at(mx));
+      }
+      break;
+    }
+    case DataType::kNull:
+      break;
+  }
+  if (nullable) {
+    for (size_t r = lo; r < hi; ++r) z.null_count += c.IsNull(r) ? 1 : 0;
+  }
+  return z;
+}
+
 void ColumnStore::EnsureZones() const {
   if (!zones_dirty_) return;
   auto* self = const_cast<ColumnStore*>(this);
-  for (size_t col = 0; col < cols_.size(); ++col) {
-    ColumnData& c = self->cols_[col];
-    for (size_t chunk = 0; chunk < c.zones.size(); ++chunk) {
-      if (!c.zones[chunk].dirty) continue;
-      ZoneMap z;
+  for (ColumnData& c : self->cols_) {
+    for (size_t chunk : c.dirty_chunks) {
       size_t lo = chunk * kChunkRows;
       size_t hi = std::min(lo + kChunkRows, num_rows_);
-      for (size_t row = lo; row < hi; ++row) {
-        Value v = GetValue(row, col);
-        if (v.is_null()) {
-          ++z.null_count;
-          continue;
-        }
-        if (z.min_v.is_null() || v.Compare(z.min_v) < 0) z.min_v = v;
-        if (z.max_v.is_null() || v.Compare(z.max_v) > 0) z.max_v = v;
-      }
-      c.zones[chunk] = std::move(z);
+      c.zones[chunk] = ComputeZone(c, lo, hi);
     }
+    c.dirty_chunks.clear();
   }
   self->zones_dirty_ = false;
 }
@@ -292,16 +380,21 @@ void ColumnStore::EnsureScanReady() const {
   }
 }
 
-void ColumnStore::Rebuild(const std::vector<Row>& rows) {
-  for (auto& c : cols_) {
-    DataType t = c.type;
-    c = ColumnData();
-    c.type = t;
+void ColumnStore::EraseRows(const std::vector<size_t>& rows) {
+  ColumnStore kept(schema_);
+  kept.Reserve(num_rows_ - rows.size());
+  size_t next = 0;  // cursor into rows
+  for (size_t r = 0; r < num_rows_; ++r) {
+    if (next < rows.size() && rows[next] == r) {
+      ++next;
+      continue;
+    }
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      kept.AppendCell(c, GetValue(r, c));
+    }
+    kept.EndRow();
   }
-  num_rows_ = 0;
-  zones_dirty_ = false;
-  Reserve(rows.size());
-  for (const auto& row : rows) Append(row);
+  *this = std::move(kept);
 }
 
 }  // namespace statsdb

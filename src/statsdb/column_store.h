@@ -2,8 +2,8 @@
 // typed vector (strings are dictionary-encoded as uint32 codes) with a
 // packed null bitmap. Logical chunks of kChunkRows rows carry zone maps
 // (min/max value, null count) that let scans skip chunks a predicate can
-// never match. This is the execution-optimized representation behind
-// Table; the row-view accessors materialize from it lazily.
+// never match. This is Table's only storage; its row-view accessors
+// build rows from it on each call.
 
 #ifndef FF_STATSDB_COLUMN_STORE_H_
 #define FF_STATSDB_COLUMN_STORE_H_
@@ -64,6 +64,7 @@ class ColumnStore {
     Dictionary dict;
     std::vector<uint64_t> null_words;  // packed bitmap, bit set => NULL
     std::vector<ZoneMap> zones;        // one per chunk
+    std::vector<size_t> dirty_chunks;  // chunks whose zone is dirty
     size_t null_count = 0;
 
     bool IsNull(size_t row) const {
@@ -113,15 +114,18 @@ class ColumnStore {
     return cols_[col].zones[chunk];
   }
 
-  /// Drops all rows and re-appends `rows` (used after deletions).
-  /// Dictionaries are rebuilt, so codes may change.
-  void Rebuild(const std::vector<Row>& rows);
+  /// Removes `rows` (ascending, distinct, each < num_rows()), keeping
+  /// the others in order. Columns, zone maps and dictionaries are
+  /// rebuilt from the surviving cells, so codes may change.
+  void EraseRows(const std::vector<size_t>& rows);
 
   void Reserve(size_t rows);
 
  private:
   void AppendToZone(size_t col, const Value& v);
   void SetNullBit(ColumnData* c, size_t row);
+  /// The zone map of rows [lo, hi) of `c`, from its typed cells.
+  ZoneMap ComputeZone(const ColumnData& c, size_t lo, size_t hi) const;
 
   const Schema* schema_;  // owned by the Table
   std::vector<ColumnData> cols_;

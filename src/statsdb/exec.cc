@@ -826,6 +826,39 @@ util::StatusOr<IterPtr> BuildChainIterator(const PlanNode& plan,
   return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
 }
 
+util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
+                                              const ExprPtr& where,
+                                              const Database& db) {
+  PlanPtr plan = MakeScan(table);
+  if (where != nullptr) plan = MakeFilter(std::move(plan), where);
+  // A well-typed WHERE lands in the scan; an ill-typed one stays a
+  // Filter above it, as in SELECT.
+  plan = OptimizePlan(plan, db);
+  const PlanNode* leaf = plan.get();
+  while (leaf->kind() != PlanKind::kScan) leaf = PlanInputs(*leaf)[0].get();
+  FF_ASSIGN_OR_RETURN(
+      ScanSetup setup,
+      PrepareScan(static_cast<const ScanNode&>(*leaf), db));
+  std::vector<size_t> chunks = SurveyScanChunks(setup);
+  if (chunks.empty() && plan->kind() == PlanKind::kFilter) {
+    // No chain iterator is built, so run the check SELECT's Filter
+    // makes when it is built over an empty table.
+    FF_RETURN_IF_ERROR(
+        CheckBoolPredicate(static_cast<const FilterNode&>(*plan).predicate,
+                           setup.table->schema()));
+  }
+  std::vector<size_t> ids;
+  for (size_t chunk : chunks) {
+    FF_ASSIGN_OR_RETURN(IterPtr it, BuildChainIterator(*plan, &setup, chunk));
+    FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());  // at most one
+    if (batch == nullptr) continue;
+    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
+      ids.push_back(chunk * kChunkRows + batch->RowAt(k));
+    }
+  }
+  return ids;
+}
+
 util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
                                           IterPtr input) {
   switch (plan.kind()) {

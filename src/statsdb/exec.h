@@ -78,6 +78,16 @@ util::StatusOr<std::unique_ptr<BatchIterator>> BuildChainIterator(
     const PlanNode& plan, const ScanSetup* setup, size_t chunk,
     obs::OperatorProfile* prof = nullptr);
 
+/// Ascending ids of the rows of `table` that `SELECT * FROM table WHERE
+/// where` returns (every row when `where` is null), found by that
+/// SELECT's own scan: the planner's pushdown and index selection, then
+/// PrepareScan, SurveyScanChunks and one BuildChainIterator per
+/// surviving chunk. Fails exactly when that SELECT fails, with the same
+/// error. Serial. UPDATE and DELETE find their target rows here.
+util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
+                                              const ExprPtr& where,
+                                              const Database& db);
+
 /// Builds the operator iterator for the single-input node `plan` over an
 /// already-built `input` stream in place of the node's own input. The
 /// parallel executor runs a serial Distinct or top-k Sort this way, once

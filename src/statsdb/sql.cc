@@ -3,7 +3,9 @@
 #include <cctype>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/runtime_stats.h"
@@ -42,6 +44,7 @@ class Lexer {
 
   util::StatusOr<std::vector<Token>> Tokenize() {
     std::vector<Token> out;
+    out.reserve(in_.size() / 3 + 1);  // a VALUES list averages ~4 chars/token
     while (true) {
       SkipWhitespace();
       if (i_ >= in_.size()) {
@@ -79,32 +82,37 @@ class Lexer {
         ++i_;
         std::string s;
         bool closed = false;
+        // Copy up to the next quote at once; a doubled quote ('') is one
+        // quote inside the literal.
         while (i_ < in_.size()) {
-          if (in_[i_] == '\'') {
-            if (i_ + 1 < in_.size() && in_[i_ + 1] == '\'') {
-              s += '\'';
-              i_ += 2;
-            } else {
-              ++i_;
-              closed = true;
-              break;
-            }
+          size_t q = in_.find('\'', i_);
+          if (q == std::string::npos) q = in_.size();
+          s.append(in_, i_, q - i_);
+          i_ = q;
+          if (i_ >= in_.size()) break;
+          if (i_ + 1 < in_.size() && in_[i_ + 1] == '\'') {
+            s += '\'';
+            i_ += 2;
           } else {
-            s += in_[i_++];
+            ++i_;
+            closed = true;
+            break;
           }
         }
         if (!closed) {
           return util::Status::ParseError("unterminated string literal");
         }
-        out.push_back(Token{TokKind::kString, s, start});
+        out.push_back(Token{TokKind::kString, std::move(s), start});
       } else {
         // Multi-char operators first.
         static const char* kTwo[] = {"<>", "<=", ">=", "!="};
         std::string sym(1, c);
-        for (const char* t : kTwo) {
-          if (in_.compare(i_, 2, t) == 0) {
-            sym = t;
-            break;
+        if (c == '<' || c == '>' || c == '!') {
+          for (const char* t : kTwo) {
+            if (in_.compare(i_, 2, t) == 0) {
+              sym = t;
+              break;
+            }
           }
         }
         static const std::string kSingles = "(),*=<>+-/%?";
@@ -123,7 +131,8 @@ class Lexer {
     while (i_ < in_.size()) {
       if (std::isspace(static_cast<unsigned char>(in_[i_]))) {
         ++i_;
-      } else if (in_.compare(i_, 2, "--") == 0) {
+      } else if (in_[i_] == '-' && i_ + 1 < in_.size() &&
+                 in_[i_ + 1] == '-') {
         while (i_ < in_.size() && in_[i_] != '\n') ++i_;
       } else {
         break;
@@ -310,6 +319,7 @@ class Parser {
     while (true) {
       FF_RETURN_IF_ERROR(ExpectSymbol("("));
       Row row;
+      if (!stmt.rows.empty()) row.reserve(stmt.rows.front().size());
       while (true) {
         FF_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
         row.push_back(std::move(v));
@@ -365,7 +375,7 @@ class Parser {
     return stmt;
   }
 
-  bool PeekKeyword(const std::string& kw) const {
+  bool PeekKeyword(std::string_view kw) const {
     const Token& t = toks_[i_];
     return t.kind == TokKind::kIdent && util::EqualsIgnoreCase(t.text, kw);
   }
@@ -376,23 +386,23 @@ class Parser {
     if (i_ + 1 < toks_.size()) ++i_;
   }
 
-  bool PeekSymbol(const std::string& sym) const {
+  bool PeekSymbol(std::string_view sym) const {
     return Cur().kind == TokKind::kSymbol && Cur().text == sym;
   }
 
-  util::Status ExpectKeyword(const std::string& kw) {
+  util::Status ExpectKeyword(std::string_view kw) {
     if (!PeekKeyword(kw)) {
-      return util::Status::ParseError("expected " + kw + " near '" +
-                                      Cur().text + "'");
+      return util::Status::ParseError("expected " + std::string(kw) +
+                                      " near '" + Cur().text + "'");
     }
     Advance();
     return util::Status::OK();
   }
 
-  util::Status ExpectSymbol(const std::string& sym) {
+  util::Status ExpectSymbol(std::string_view sym) {
     if (!PeekSymbol(sym)) {
-      return util::Status::ParseError("expected '" + sym + "' near '" +
-                                      Cur().text + "'");
+      return util::Status::ParseError("expected '" + std::string(sym) +
+                                      "' near '" + Cur().text + "'");
     }
     Advance();
     return util::Status::OK();
@@ -468,7 +478,9 @@ class Parser {
         return Value::Double(v);
       }
       case TokKind::kString: {
-        std::string s = t.text;
+        // The parser never steps back, so the consumed token's text can
+        // move into the value.
+        std::string s = std::move(toks_[i_].text);
         Advance();
         return Value::String(std::move(s));
       }
@@ -875,6 +887,36 @@ ResultSet PlanLinesResult(const std::vector<std::string>& lines) {
   return rs;
 }
 
+}  // namespace
+
+struct WriteStatement::Parsed {
+  std::variant<CreateStmt, InsertStmt, UpdateStmt, DeleteStmt> stmt;
+};
+
+namespace {
+
+/// The write statement `toks` spells (anything but SELECT / EXPLAIN).
+util::StatusOr<WriteStatement> ParseWriteTokens(std::vector<Token> toks) {
+  Parser parser(std::move(toks));
+  WriteStatement out;
+  out.parsed = std::make_shared<WriteStatement::Parsed>();
+  auto& stmt = out.parsed->stmt;
+  if (parser.PeekKeyword("CREATE")) {
+    FF_ASSIGN_OR_RETURN(stmt, parser.ParseCreate());
+  } else if (parser.PeekKeyword("INSERT")) {
+    FF_ASSIGN_OR_RETURN(stmt, parser.ParseInsert());
+  } else if (parser.PeekKeyword("UPDATE")) {
+    FF_ASSIGN_OR_RETURN(stmt, parser.ParseUpdate());
+  } else if (parser.PeekKeyword("DELETE")) {
+    FF_ASSIGN_OR_RETURN(stmt, parser.ParseDelete());
+  } else {
+    return util::Status::ParseError(
+        "statement must start with SELECT, INSERT, UPDATE, DELETE, CREATE "
+        "or EXPLAIN");
+  }
+  return out;
+}
+
 /// Normalized statement identity for the plan tier: the token stream —
 /// whitespace and comments are already gone, and the caller strips any
 /// EXPLAIN [ANALYZE] prefix first, so `SELECT x FROM t`, `select x FROM
@@ -963,82 +1005,91 @@ util::StatusOr<ResultSet> ExecuteSql(Database* db,
     }
     return ExecuteOptimized(optimized, *db);
   }
-  Parser parser(std::move(toks));
-  if (parser.PeekKeyword("CREATE")) {
-    FF_ASSIGN_OR_RETURN(CreateStmt stmt, parser.ParseCreate());
-    FF_ASSIGN_OR_RETURN(Schema schema, Schema::Create(stmt.columns));
-    FF_RETURN_IF_ERROR(db->CreateTable(stmt.table, schema).status());
+  FF_ASSIGN_OR_RETURN(WriteStatement stmt, ParseWriteTokens(std::move(toks)));
+  return ExecuteWrite(db, stmt);
+}
+
+util::StatusOr<WriteStatement> ParseWrite(const std::string& statement) {
+  Lexer lexer(statement);
+  FF_ASSIGN_OR_RETURN(std::vector<Token> toks, lexer.Tokenize());
+  if (toks.empty() || toks[0].kind == TokKind::kEnd) {
+    return util::Status::ParseError("empty statement");
+  }
+  if (toks[0].kind == TokKind::kIdent &&
+      (util::EqualsIgnoreCase(toks[0].text, "SELECT") ||
+       util::EqualsIgnoreCase(toks[0].text, "EXPLAIN"))) {
+    return util::Status::ParseError("not a write statement");
+  }
+  return ParseWriteTokens(std::move(toks));
+}
+
+util::StatusOr<ResultSet> ExecuteWrite(Database* db,
+                                       const WriteStatement& write) {
+  auto& stmt = write.parsed->stmt;
+  if (auto* create = std::get_if<CreateStmt>(&stmt)) {
+    FF_ASSIGN_OR_RETURN(Schema schema, Schema::Create(create->columns));
+    FF_RETURN_IF_ERROR(db->CreateTable(create->table, schema).status());
     return ResultSet{Schema(), {}};
   }
-  if (parser.PeekKeyword("INSERT")) {
-    FF_ASSIGN_OR_RETURN(InsertStmt stmt, parser.ParseInsert());
-    FF_ASSIGN_OR_RETURN(Table * t, db->table(stmt.table));
-    for (const auto& row : stmt.rows) {
-      FF_RETURN_IF_ERROR(t->Insert(row));
+  if (auto* insert = std::get_if<InsertStmt>(&stmt)) {
+    FF_ASSIGN_OR_RETURN(Table * t, db->table(insert->table));
+    const auto inserted = static_cast<int64_t>(insert->rows.size());
+    for (Row& row : insert->rows) {
+      FF_RETURN_IF_ERROR(t->Insert(std::move(row)));
     }
     ResultSet rs;
     rs.schema = Schema({Column{"rows_inserted", DataType::kInt64}});
-    rs.rows.push_back(
-        Row{Value::Int64(static_cast<int64_t>(stmt.rows.size()))});
+    rs.rows.push_back(Row{Value::Int64(inserted)});
     return rs;
   }
-  if (parser.PeekKeyword("UPDATE")) {
-    FF_ASSIGN_OR_RETURN(UpdateStmt stmt, parser.ParseUpdate());
-    FF_ASSIGN_OR_RETURN(Table * t, db->table(stmt.table));
+  if (auto* update = std::get_if<UpdateStmt>(&stmt)) {
+    FF_ASSIGN_OR_RETURN(Table * t, db->table(update->table));
     const Schema& schema = t->schema();
     // Resolve target columns up front.
     std::vector<size_t> target_cols;
-    for (const auto& [col, expr] : stmt.assignments) {
+    for (const auto& [col, expr] : update->assignments) {
       FF_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
       target_cols.push_back(idx);
     }
-    int64_t updated = 0;
-    for (size_t i = 0; i < t->num_rows(); ++i) {
-      if (stmt.where) {
-        FF_ASSIGN_OR_RETURN(Value match, stmt.where->Eval(t->row(i),
-                                                          schema));
-        if (match.is_null() || !match.bool_value()) continue;
+    FF_ASSIGN_OR_RETURN(std::vector<size_t> ids,
+                        MatchRows(update->table, update->where, *db));
+    // Evaluate and type-check every assignment against the old rows
+    // before the first write, so a failing statement changes nothing.
+    size_t width = target_cols.size();
+    std::vector<Value> values;  // row-major: ids.size() x width
+    values.reserve(ids.size() * width);
+    for (size_t id : ids) {
+      Row old = t->row(id);
+      for (const auto& [col, expr] : update->assignments) {
+        FF_ASSIGN_OR_RETURN(Value v, expr->Eval(old, schema));
+        values.push_back(std::move(v));
       }
-      // Evaluate every assignment against the OLD row before writing.
-      std::vector<Value> new_values;
-      for (const auto& [col, expr] : stmt.assignments) {
-        FF_ASSIGN_OR_RETURN(Value v, expr->Eval(t->row(i), schema));
-        new_values.push_back(std::move(v));
+      for (size_t a = 0; a < width; ++a) {
+        Value& v = values[values.size() - width + a];
+        FF_ASSIGN_OR_RETURN(v, t->CoerceCell(target_cols[a], std::move(v)));
       }
-      for (size_t a = 0; a < target_cols.size(); ++a) {
-        FF_RETURN_IF_ERROR(
-            t->UpdateCell(i, target_cols[a], std::move(new_values[a])));
+    }
+    for (size_t r = 0; r < ids.size(); ++r) {
+      for (size_t a = 0; a < width; ++a) {
+        FF_RETURN_IF_ERROR(t->UpdateCell(ids[r], target_cols[a],
+                                         std::move(values[r * width + a])));
       }
-      ++updated;
     }
     ResultSet rs;
     rs.schema = Schema({Column{"rows_updated", DataType::kInt64}});
-    rs.rows.push_back(Row{Value::Int64(updated)});
+    rs.rows.push_back(Row{Value::Int64(static_cast<int64_t>(ids.size()))});
     return rs;
   }
-  if (parser.PeekKeyword("DELETE")) {
-    FF_ASSIGN_OR_RETURN(DeleteStmt stmt, parser.ParseDelete());
-    FF_ASSIGN_OR_RETURN(Table * t, db->table(stmt.table));
-    const Schema& schema = t->schema();
-    std::vector<size_t> victims;
-    for (size_t i = 0; i < t->num_rows(); ++i) {
-      if (stmt.where) {
-        FF_ASSIGN_OR_RETURN(Value match, stmt.where->Eval(t->row(i),
-                                                          schema));
-        if (match.is_null() || !match.bool_value()) continue;
-      }
-      victims.push_back(i);
-    }
-    FF_RETURN_IF_ERROR(t->DeleteRows(victims));
-    ResultSet rs;
-    rs.schema = Schema({Column{"rows_deleted", DataType::kInt64}});
-    rs.rows.push_back(
-        Row{Value::Int64(static_cast<int64_t>(victims.size()))});
-    return rs;
-  }
-  return util::Status::ParseError(
-      "statement must start with SELECT, INSERT, UPDATE, DELETE, CREATE "
-      "or EXPLAIN");
+  auto& del = std::get<DeleteStmt>(stmt);
+  FF_ASSIGN_OR_RETURN(Table * t, db->table(del.table));
+  FF_ASSIGN_OR_RETURN(std::vector<size_t> victims,
+                      MatchRows(del.table, del.where, *db));
+  auto deleted = static_cast<int64_t>(victims.size());
+  FF_RETURN_IF_ERROR(t->DeleteRows(std::move(victims)));
+  ResultSet rs;
+  rs.schema = Schema({Column{"rows_deleted", DataType::kInt64}});
+  rs.rows.push_back(Row{Value::Int64(deleted)});
+  return rs;
 }
 
 util::StatusOr<PreparedStatement> PrepareSql(Database* db,

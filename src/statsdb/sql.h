@@ -42,6 +42,26 @@ class Database;
 util::StatusOr<ResultSet> ExecuteSql(Database* db,
                                      const std::string& statement);
 
+/// A parsed CREATE, INSERT, UPDATE or DELETE. Parsing reads no table,
+/// so a caller that runs writes one at a time (net::Server's writer
+/// thread) can parse a statement before queueing it and run only
+/// ExecuteWrite in the serialized section. Copies share the statement;
+/// execute it once (an INSERT's rows are moved into the table).
+struct WriteStatement {
+  struct Parsed;  // defined in sql.cc
+  std::shared_ptr<Parsed> parsed;
+};
+
+/// Parses a write statement. Fails exactly as ExecuteSql does on the
+/// same text before it reads any table; a SELECT or EXPLAIN is a
+/// ParseError ("not a write statement").
+util::StatusOr<WriteStatement> ParseWrite(const std::string& statement);
+
+/// Executes a statement from ParseWrite: ExecuteSql(db, text) is
+/// ParseWrite(text) followed by this, for every write.
+util::StatusOr<ResultSet> ExecuteWrite(Database* db,
+                                       const WriteStatement& write);
+
 /// A compiled SELECT with `?` parameter placeholders: parse, plan, and
 /// optimization happen once at Prepare time; Execute(params) binds the
 /// placeholders and runs through the result cache + engines. Dashboard

@@ -30,26 +30,20 @@ Table::Table(std::string name, Schema schema)
 
 void Table::BumpEpoch() { epoch_ = NextGlobalEpoch(); }
 
-void Table::MaterializeRows() const {
-  size_t n = store_.num_rows();
-  size_t width = schema_.num_columns();
-  row_cache_.reserve(n);
-  for (size_t i = row_cache_.size(); i < n; ++i) {
-    Row row;
-    row.reserve(width);
-    for (size_t c = 0; c < width; ++c) row.push_back(store_.GetValue(i, c));
-    row_cache_.push_back(std::move(row));
+Row Table::row(size_t i) const {
+  Row row;
+  row.reserve(schema_.num_columns());
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    row.push_back(store_.GetValue(i, c));
   }
+  return row;
 }
 
-const std::vector<Row>& Table::rows() const {
-  MaterializeRows();
-  return row_cache_;
-}
-
-const Row& Table::row(size_t i) const {
-  MaterializeRows();
-  return row_cache_[i];
+std::vector<Row> Table::rows() const {
+  std::vector<Row> out;
+  out.reserve(num_rows());
+  for (size_t i = 0; i < num_rows(); ++i) out.push_back(row(i));
+  return out;
 }
 
 const ColumnStore& Table::store() const {
@@ -72,10 +66,22 @@ util::Status Table::Insert(Row row) {
     index[row[col]].push_back(row_index);
   }
   store_.Append(row);
-  // Keep a fully-materialized row cache warm instead of throwing it away.
-  if (row_cache_.size() == row_index) row_cache_.push_back(std::move(row));
   BumpEpoch();
   return util::Status::OK();
+}
+
+util::StatusOr<Value> Table::CoerceCell(size_t col_index, Value v) const {
+  if (v.is_null()) return v;
+  DataType want = schema_.column(col_index).type;
+  if (v.type() == DataType::kInt64 && want == DataType::kDouble) {
+    return Value::Double(static_cast<double>(v.int64_value()));
+  }
+  if (v.type() != want) {
+    return util::Status::InvalidArgument(
+        std::string("type mismatch updating column ") +
+        schema_.column(col_index).name);
+  }
+  return v;
 }
 
 util::Status Table::UpdateCell(size_t row_index, size_t col_index, Value v) {
@@ -86,16 +92,7 @@ util::Status Table::UpdateCell(size_t row_index, size_t col_index, Value v) {
     return util::Status::OutOfRange("column index " +
                                     std::to_string(col_index));
   }
-  if (!v.is_null()) {
-    DataType want = schema_.column(col_index).type;
-    if (v.type() == DataType::kInt64 && want == DataType::kDouble) {
-      v = Value::Double(static_cast<double>(v.int64_value()));
-    } else if (v.type() != want) {
-      return util::Status::InvalidArgument(
-          std::string("type mismatch updating column ") +
-          schema_.column(col_index).name);
-    }
-  }
+  FF_ASSIGN_OR_RETURN(v, CoerceCell(col_index, std::move(v)));
   auto idx_it = indexes_.find(col_index);
   if (idx_it != indexes_.end()) {
     auto& index = idx_it->second;
@@ -104,9 +101,6 @@ util::Status Table::UpdateCell(size_t row_index, size_t col_index, Value v) {
         std::remove(old_bucket.begin(), old_bucket.end(), row_index),
         old_bucket.end());
     index[v].push_back(row_index);
-  }
-  if (row_index < row_cache_.size()) {
-    row_cache_[row_index][col_index] = v;
   }
   store_.Set(row_index, col_index, v);
   BumpEpoch();
@@ -122,14 +116,10 @@ util::Status Table::DeleteRows(std::vector<size_t> row_indices) {
     return util::Status::OutOfRange(
         "row index " + std::to_string(row_indices.back()));
   }
-  MaterializeRows();
-  // Erase from the back so earlier indices stay valid.
-  for (auto it = row_indices.rbegin(); it != row_indices.rend(); ++it) {
-    row_cache_.erase(row_cache_.begin() + static_cast<ptrdiff_t>(*it));
-  }
-  store_.Rebuild(row_cache_);
+  if (row_indices.empty()) return util::Status::OK();
+  store_.EraseRows(row_indices);
   RebuildIndexes();
-  if (!row_indices.empty()) BumpEpoch();
+  BumpEpoch();
   return util::Status::OK();
 }
 

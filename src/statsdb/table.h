@@ -3,8 +3,8 @@
 // strings, packed null bitmaps, and per-chunk zone maps — the paper's
 // run-statistics workload is scan/aggregate-heavy, and at fleet scale
 // (thousands of runs x per-task spans) row-at-a-time scans became the
-// bottleneck. The original row-view accessors (`rows()`, `row(i)`) are
-// preserved for compatibility and materialize lazily from the columns.
+// bottleneck. The row-view accessors (`rows()`, `row(i)`) build values
+// from the columns on each call; nothing is cached beside the columns.
 
 #ifndef FF_STATSDB_TABLE_H_
 #define FF_STATSDB_TABLE_H_
@@ -43,26 +43,33 @@ class Table {
   /// writes do not disturb cached plans.
   uint64_t ddl_epoch() const { return ddl_epoch_; }
 
-  /// Row views, materialized lazily from the column store. The reference
-  /// stays valid until the next mutation (as with the old row store, a
-  /// mutation may reallocate).
-  const std::vector<Row>& rows() const;
-  const Row& row(size_t i) const;
+  /// Row views, built from the column store on each call (a copy; the
+  /// table itself is not touched).
+  std::vector<Row> rows() const;
+  Row row(size_t i) const;
 
-  /// The columnar storage (zone maps guaranteed current on return).
+  /// The columnar storage (zone maps guaranteed current on return). The
+  /// one lazily-mutating const call: it recomputes zone maps dirtied by
+  /// UpdateCell and pads null bitmaps (ColumnStore::EnsureScanReady).
   const ColumnStore& store() const;
 
   /// Validates, widens int64 into double columns, appends, maintains
   /// indexes.
   util::Status Insert(Row row);
 
+  /// `v` as column `col_index` stores it: int64 widened into a double
+  /// column; InvalidArgument when the type does not fit. UpdateCell
+  /// applies this check, so a caller that runs it first on every cell
+  /// of a statement knows none of its writes can fail.
+  util::StatusOr<Value> CoerceCell(size_t col_index, Value v) const;
+
   /// Updates one cell in place (used to patch completion stats of
   /// previously in-flight runs). Maintains indexes.
   util::Status UpdateCell(size_t row_index, size_t col_index, Value v);
 
   /// Deletes the given rows (indices into rows(), any order, duplicates
-  /// ignored); remaining rows keep their relative order. Indexes are
-  /// rebuilt. OutOfRange when an index is invalid.
+  /// ignored); remaining rows keep their relative order. The columns are
+  /// compacted and indexes rebuilt. OutOfRange when an index is invalid.
   util::Status DeleteRows(std::vector<size_t> row_indices);
 
   /// Builds a hash index on `column`; idempotent. NotFound for unknown
@@ -130,8 +137,6 @@ class Table {
   using HashIndex =
       std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq>;
 
-  /// Extends the lazy row cache to cover all rows.
-  void MaterializeRows() const;
   void RebuildIndexes();
   void BumpEpoch();
 
@@ -140,7 +145,6 @@ class Table {
   uint64_t epoch_;
   uint64_t ddl_epoch_;
   ColumnStore store_;
-  mutable std::vector<Row> row_cache_;  // first N rows, N <= num_rows()
   std::map<size_t, HashIndex> indexes_;  // column index -> hash index
 };
 

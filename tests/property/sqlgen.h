@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "statsdb/database.h"
@@ -66,6 +67,47 @@ inline void BuildPropertyTables(Database* db) {
                            Value::Double(1.0 + 0.1 * i)})
                     .ok());
   }
+}
+
+/// Builds table `name`, shaped like `runs` (forecast, day, node,
+/// walltime; indexed on forecast and node) with `rows` rows, for lanes
+/// that need a chosen size — 4095/4096/4097 rows sit on the zone-map
+/// chunk boundary — or NULL-heavy columns: day, node and walltime are
+/// each NULL with probability `null_frac`.
+inline void BuildRunsTable(Database* db, const std::string& name,
+                           size_t rows, double null_frac, uint64_t seed) {
+  Schema runs({{"forecast", DataType::kString},
+               {"day", DataType::kInt64},
+               {"node", DataType::kString},
+               {"walltime", DataType::kDouble}});
+  Table* t = *db->CreateTable(name, runs);
+  util::Rng rng(seed);
+  const char* forecasts[] = {"till", "dev", "coos", "umpqua"};
+  const char* nodes[] = {"f1", "f2", "f3", "f4", "f5"};
+  Table::BulkAppender app(t);
+  app.Reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    app.String(forecasts[rng.UniformInt(0, 3)]);
+    if (rng.Bernoulli(null_frac)) {
+      app.Null();
+    } else {
+      app.Int64(rng.UniformInt(0, 364));
+    }
+    if (rng.Bernoulli(null_frac)) {
+      app.Null();
+    } else {
+      app.String(nodes[rng.UniformInt(0, 4)]);
+    }
+    if (rng.Bernoulli(null_frac)) {
+      app.Null();
+    } else {
+      app.Double(rng.Uniform(1000.0, 90000.0));
+    }
+    ASSERT_TRUE(app.EndRow().ok());
+  }
+  ASSERT_TRUE(app.Finish().ok());
+  ASSERT_TRUE(t->CreateIndex("forecast").ok());
+  ASSERT_TRUE(t->CreateIndex("node").ok());
 }
 
 /// Randomized SELECT generator over the property tables. The generator
@@ -129,6 +171,49 @@ struct SqlGen {
     for (int i = 0; i < n; ++i) {
       if (i > 0) out += Pick(4) == 0 ? " OR " : " AND ";
       out += Comparison(joined);
+    }
+    return out;
+  }
+
+  /// The SET list of an UPDATE on a runs-shaped table: 1-3 (column,
+  /// expression) pairs. Some write the indexed columns; some fail at run
+  /// time on some rows only (modulo by zero where day = 5, a double into
+  /// the int column), so a row-at-a-time loop would have written part of
+  /// the statement before failing; one names an unknown column.
+  std::vector<std::pair<std::string, std::string>> Assignments() {
+    static const char* forecast[] = {"'till'", "'dev'", "'ghost'", "node",
+                                     "NULL"};
+    static const char* day[] = {"day + 1", "day * 2 - 7", "NULL", "3",
+                                "100 % (day - 5)", "walltime", "'x'"};
+    static const char* node[] = {"'f1'", "'f5'", "forecast", "NULL"};
+    static const char* walltime[] = {"walltime * 2", "walltime + 0.1",
+                                     "day", "NULL", "1e300 * 1e300",
+                                     "walltime / (day - 5)", "'text'"};
+    std::vector<std::pair<std::string, std::string>> out;
+    int n = Pick(3) + 1;
+    for (int i = 0; i < n; ++i) {
+      switch (Pick(9)) {
+        case 0:
+        case 1:
+          out.emplace_back("forecast", OneOf(forecast));
+          break;
+        case 2:
+        case 3:
+          out.emplace_back("day", OneOf(day));
+          break;
+        case 4:
+        case 5:
+          out.emplace_back("node", OneOf(node));
+          break;
+        case 6:
+        case 7:
+          out.emplace_back("walltime", OneOf(walltime));
+          break;
+        default:
+          out.emplace_back(Pick(4) == 0 ? "ghost" : "walltime",
+                           DoubleLit());
+          break;
+      }
     }
     return out;
   }

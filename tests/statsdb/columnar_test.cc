@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -261,6 +263,53 @@ TEST_F(ColumnarTest, UpdatedAndDeletedRowsVisible) {
       MakeFilter(MakeScan("runs"), Gt(Col("day"), LitInt(500000))));
   ExpectEngineAgreement(
       MakeFilter(MakeScan("runs"), Lt(Col("day"), LitInt(64))));
+}
+
+TEST_F(ColumnarTest, UpdatedZoneMapsMatchAFoldOverTheCells) {
+  // Point updates dirty a chunk's zones; the typed recompute must equal a
+  // Value::Compare fold over the chunk's cells, NULLs, NaN and
+  // strings included.
+  Table* t = *db_.table("runs");
+  const double nan = std::nan("");
+  struct Edit {
+    size_t row, col;
+    Value v;
+  };
+  const std::vector<Edit> edits = {
+      {5, 0, Value::String("zzz")},     {6, 0, Value::String("aaa")},
+      {kChunkRows, 0, Value::Null()},   {7, 1, Value::Int64(-5)},
+      {8, 1, Value::Null()},            {9, 2, Value::Double(nan)},
+      {10, 2, Value::Double(-1.5)},     {kChunkRows + 1, 2, Value::Null()},
+      {3, 2, Value::Double(2.5)},       {11, 3, Value::Null()},
+      {kRows - 1, 3, Value::Bool(true)}, {kRows - 2, 2, Value::Double(nan)}};
+  for (const Edit& e : edits) {
+    ASSERT_TRUE(t->UpdateCell(e.row, e.col, e.v).ok());
+  }
+  const ColumnStore& store = t->store();
+  for (size_t col = 0; col < t->schema().num_columns(); ++col) {
+    for (size_t chunk = 0; chunk < store.num_chunks(); ++chunk) {
+      Value lo, hi;
+      size_t nulls = 0;
+      const size_t end = std::min((chunk + 1) * kChunkRows, kRows);
+      for (size_t r = chunk * kChunkRows; r < end; ++r) {
+        Value v = store.GetValue(r, col);
+        if (v.is_null()) {
+          ++nulls;
+          continue;
+        }
+        if (lo.is_null() || v.Compare(lo) < 0) lo = v;
+        if (hi.is_null() || v.Compare(hi) > 0) hi = v;
+      }
+      const ZoneMap& z = store.zone(chunk, col);
+      SCOPED_TRACE("col " + std::to_string(col) + " chunk " +
+                   std::to_string(chunk));
+      EXPECT_EQ(z.null_count, nulls);
+      EXPECT_EQ(z.min_v.ToString(), lo.ToString());
+      EXPECT_EQ(z.max_v.ToString(), hi.ToString());
+      EXPECT_EQ(z.min_v.type(), lo.type());
+      EXPECT_FALSE(z.dirty);
+    }
+  }
 }
 
 TEST_F(ColumnarTest, BatchIteratorStreamsAllRows) {

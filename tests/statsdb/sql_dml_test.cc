@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "statsdb/database.h"
+#include "statsdb/sql.h"
 
 namespace ff {
 namespace statsdb {
@@ -75,6 +76,75 @@ TEST_F(SqlDmlTest, UpdateUnknownColumnFails) {
   EXPECT_FALSE(db_.Sql("UPDATE runs SET walltime = 'text'").ok());
 }
 
+// A statement that fails part-way must leave no trace: every assignment
+// is evaluated and type-checked before the first cell is written, so the
+// table and its epoch (which keys cached results) stay as they were.
+TEST(SqlDmlAtomicity, FailingUpdateWritesNothing) {
+  Database db;
+  ASSERT_TRUE(db.Sql("CREATE TABLE t (day INT64, x DOUBLE)").ok());
+  for (int day = 1; day <= 10; ++day) {
+    ASSERT_TRUE(
+        db.Sql("INSERT INTO t VALUES (" + std::to_string(day) + ", 0)").ok());
+  }
+  Table* t = *db.table("t");
+  auto before = db.Sql("SELECT * FROM t");
+  ASSERT_TRUE(before.ok());
+  uint64_t epoch = t->epoch();
+
+  // Row day=2 evaluates to 100 % -3 = 1 before day=5 divides by zero.
+  auto rs = db.Sql("UPDATE t SET x = 100 % (day - 5)");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().ToString(), "InvalidArgument: modulo by zero");
+  EXPECT_EQ(t->epoch(), epoch);
+  auto after = db.Sql("SELECT * FROM t");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->ToCsv(), before->ToCsv());
+}
+
+TEST_F(SqlDmlTest, TypeMismatchUpdateWritesNothing) {
+  Table* t = *db_.table("runs");
+  auto before = db_.Sql("SELECT * FROM runs");
+  ASSERT_TRUE(before.ok());
+  uint64_t epoch = t->epoch();
+  // The first assignment is valid; the second fails its type check.
+  auto rs = db_.Sql("UPDATE runs SET status = 'done', walltime = 'text'");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().ToString(),
+            "InvalidArgument: type mismatch updating column walltime");
+  EXPECT_EQ(t->epoch(), epoch);
+  auto after = db_.Sql("SELECT * FROM runs");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->ToCsv(), before->ToCsv());
+}
+
+// UPDATE and DELETE match rows with SELECT's scan, so they fail exactly
+// when `SELECT * FROM runs WHERE p` fails, with its error — also on an
+// empty table, where no row is ever evaluated.
+TEST_F(SqlDmlTest, BadWhereFailsLikeSelect) {
+  const char* wheres[] = {"day + 1", "ghost = 1", "forecast > 3"};
+  for (bool empty : {false, true}) {
+    if (empty) {
+      ASSERT_TRUE(db_.Sql("DELETE FROM runs").ok());
+    }
+    for (const char* where : wheres) {
+      std::string w = where;
+      auto select = db_.Sql("SELECT * FROM runs WHERE " + w);
+      if (!empty) {
+        EXPECT_FALSE(select.ok()) << w;
+      }
+      auto update = db_.Sql("UPDATE runs SET day = 0 WHERE " + w);
+      auto del = db_.Sql("DELETE FROM runs WHERE " + w);
+      EXPECT_EQ(update.status().ToString(), select.status().ToString())
+          << w << (empty ? " (empty table)" : "");
+      EXPECT_EQ(del.status().ToString(), select.status().ToString())
+          << w << (empty ? " (empty table)" : "");
+    }
+    if (!empty) {
+      EXPECT_EQ(Count("day > 0"), 6);
+    }
+  }
+}
+
 TEST_F(SqlDmlTest, DeleteWithPredicate) {
   auto rs = db_.Sql("DELETE FROM runs WHERE status = 'running'");
   ASSERT_TRUE(rs.ok());
@@ -143,6 +213,43 @@ TEST_F(SqlDmlTest, ParseErrors) {
   EXPECT_FALSE(db_.Sql("SELECT * FROM runs WHERE day IN ()").ok());
   EXPECT_FALSE(
       db_.Sql("SELECT * FROM runs WHERE day BETWEEN 1").ok());
+}
+
+TEST_F(SqlDmlTest, ParseWriteThenExecuteWriteMatchesSql) {
+  // A statement parsed ahead (as the server parses writes outside its
+  // writer thread) fails with ExecuteSql's status and, once executed,
+  // has ExecuteSql's effect.
+  for (const char* bad :
+       {"UPDATE runs", "UPDATE runs SET", "DELETE runs", "DROP TABLE runs",
+        "INSERT INTO runs VALUES ('x'", "", "CREATE TABLE t (a BLOB)"}) {
+    auto parsed = ParseWrite(bad);
+    auto direct = db_.Sql(bad);
+    ASSERT_FALSE(direct.ok()) << bad;
+    auto via = parsed.ok() ? ExecuteWrite(&db_, *parsed)
+                           : util::StatusOr<ResultSet>(parsed.status());
+    ASSERT_FALSE(via.ok()) << bad;
+    EXPECT_EQ(via.status().ToString(), direct.status().ToString()) << bad;
+  }
+  EXPECT_FALSE(ParseWrite("SELECT * FROM runs").ok());
+  EXPECT_FALSE(ParseWrite("EXPLAIN SELECT * FROM runs").ok());
+
+  auto insert =
+      ParseWrite("INSERT INTO runs VALUES ('yak', 9, NULL, 'running')");
+  auto update = ParseWrite(
+      "UPDATE runs SET walltime = 5.0, status = 'completed' WHERE day = 9");
+  auto del = ParseWrite("DELETE FROM runs WHERE forecast = 'coos'");
+  ASSERT_TRUE(insert.ok() && update.ok() && del.ok());
+  auto rs = ExecuteWrite(&db_, *insert);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].int64_value(), 1);
+  rs = ExecuteWrite(&db_, *update);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].int64_value(), 1);
+  rs = ExecuteWrite(&db_, *del);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].int64_value(), 1);
+  EXPECT_EQ(Count("status = 'completed' AND walltime = 5.0"), 1);
+  EXPECT_EQ(Count("forecast = 'coos'"), 0);
 }
 
 TEST_F(SqlDmlTest, UpdateUnknownTableNotFound) {
