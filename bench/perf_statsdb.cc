@@ -1,4 +1,4 @@
-// Columnar statsdb execution vs the row-at-a-time reference engine.
+// Columnar statsdb execution vs the row-at-a-time oracle.
 //
 // The PR's claim: rebuilding execution around column-chunk batches
 // (vectorized expressions, zone-map pruning, dictionary-coded strings,
@@ -8,8 +8,9 @@
 // milliseconds per query into fractions of a millisecond. Each case runs
 // the SAME logical plan through both engines:
 //
-//   reference  — PlanNode::Execute, the retained row-at-a-time engine
-//                (materializes whole intermediates, Value-by-Value).
+//   oracle     — ExecuteRowOracle (tests/oracle), the test-only
+//                row-at-a-time engine (materializes whole intermediates,
+//                Value-by-Value).
 //   columnar   — ExecutePlan: planner pass (pushdown, index selection,
 //                top-k) + the vectorized batch executor.
 //
@@ -41,7 +42,9 @@
 // Method: reps are interleaved engine-by-engine (ref, vec, ref, vec, ...)
 // so machine-load drift hits both engines equally; each point reports the
 // min over kReps reps (the classic "fastest rep is the least-disturbed
-// rep" estimator, as in perf_kernel/perf_trace). Both engines' results
+// rep" estimator, as in perf_kernel/perf_trace) and each engine's noise
+// floor, the spread of its reps as a percentage of its best rep
+// (bench::RepTiming::noise_pct, as in perf_trace). Both engines' results
 // are rendered to CSV and must match before anything is timed.
 //
 // Usage: perf_statsdb [--smoke] [json_path]
@@ -59,6 +62,7 @@
 #include "bench/bench_common.h"
 #include "logdata/loader.h"
 #include "obs/profiler.h"
+#include "oracle/row_engine.h"
 #include "parallel/sweep.h"
 #include "parallel/thread_pool.h"
 #include "statsdb/database.h"
@@ -110,8 +114,10 @@ struct Case {
 struct Point {
   std::string name;
   size_t result_rows = 0;
-  double ref_ms = 1e300;  // min over reps, row-at-a-time reference
+  double ref_ms = 1e300;  // min over reps, row-at-a-time oracle
   double vec_ms = 1e300;  // min over reps, planner + vectorized executor
+  double ref_noise_pct = 0.0;  // rep spread over the best rep, oracle
+  double vec_noise_pct = 0.0;  // and vectorized
   double speedup() const { return vec_ms > 0.0 ? ref_ms / vec_ms : 0.0; }
 };
 
@@ -175,7 +181,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> checked = {
       "filter_agg", "string_scan", "distinct", "topk", "indexed_point"};
 
-  std::printf("case,rows,ref_ms,vec_ms,speedup\n");
+  std::printf("case,rows,ref_ms,vec_ms,speedup,ref_noise_pct,"
+              "vec_noise_pct\n");
   std::vector<Point> points;
   std::string json_rows;
   bool ok = true;
@@ -188,7 +195,7 @@ int main(int argc, char** argv) {
     }
     // Correctness gate: both engines must agree before timing means
     // anything.
-    auto ref_rs = (*plan)->Execute(db);
+    auto ref_rs = statsdb::ExecuteRowOracle(**plan, db);
     auto vec_rs = statsdb::ExecutePlan(*plan, db);
     if (!ref_rs.ok() || !vec_rs.ok() ||
         ref_rs->ToCsv() != vec_rs->ToCsv()) {
@@ -202,7 +209,7 @@ int main(int argc, char** argv) {
     auto timings = bench::MeasureInterleaved(
         {[&] {
            return WallMs([&] {
-             auto rs = (*plan)->Execute(db);
+             auto rs = statsdb::ExecuteRowOracle(**plan, db);
              if (!rs.ok()) std::abort();
            });
          },
@@ -215,8 +222,11 @@ int main(int argc, char** argv) {
         kReps);
     pt.ref_ms = timings[0].wall_ms;
     pt.vec_ms = timings[1].wall_ms;
-    std::printf("%s,%zu,%.3f,%.3f,%.1f\n", pt.name.c_str(),
-                pt.result_rows, pt.ref_ms, pt.vec_ms, pt.speedup());
+    pt.ref_noise_pct = timings[0].noise_pct();
+    pt.vec_noise_pct = timings[1].noise_pct();
+    std::printf("%s,%zu,%.3f,%.3f,%.1f,%.1f,%.1f\n", pt.name.c_str(),
+                pt.result_rows, pt.ref_ms, pt.vec_ms, pt.speedup(),
+                pt.ref_noise_pct, pt.vec_noise_pct);
     bool is_checked = std::find(checked.begin(), checked.end(), pt.name) !=
                       checked.end();
     if (!smoke && is_checked && pt.speedup() < kFloor) {
@@ -224,12 +234,15 @@ int main(int argc, char** argv) {
                    pt.name.c_str(), pt.speedup(), kFloor);
       ok = false;
     }
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
                   "    {\"case\": \"%s\", \"rows\": %zu, \"ref_ms\": %.3f, "
-                  "\"vec_ms\": %.3f, \"speedup\": %.2f, \"checked\": %s}",
+                  "\"vec_ms\": %.3f, \"speedup\": %.2f, "
+                  "\"ref_noise_pct\": %.2f, \"vec_noise_pct\": %.2f, "
+                  "\"checked\": %s}",
                   pt.name.c_str(), pt.result_rows, pt.ref_ms, pt.vec_ms,
-                  pt.speedup(), is_checked ? "true" : "false");
+                  pt.speedup(), pt.ref_noise_pct, pt.vec_noise_pct,
+                  is_checked ? "true" : "false");
     if (!json_rows.empty()) json_rows += ",\n";
     json_rows += buf;
     points.push_back(pt);
@@ -412,15 +425,16 @@ int main(int argc, char** argv) {
   const obs::PoolRuntimeProfile pool8_profile = pool8.RuntimeProfile();
   {
     const auto& [topk_plan, topk_expected] = compose_expected.back();
+    const statsdb::ParallelConfig saved_cfg = db.parallel_config();
     obs::QueryProfile serial_profile;
     statsdb::ParallelConfig serial_cfg;
     serial_cfg.enabled = false;
-    auto serial_rs = statsdb::ExecutePlanProfiled(topk_plan, db, serial_cfg,
-                                                  &serial_profile);
+    db.set_parallel_config(serial_cfg);
+    auto serial_rs = statsdb::ExecutePlan(topk_plan, db, &serial_profile);
     obs::QueryProfile par_profile;
-    auto par_rs = statsdb::ExecutePlanProfiled(topk_plan, db,
-                                               par_config(4, &pool4),
-                                               &par_profile);
+    db.set_parallel_config(par_config(4, &pool4));
+    auto par_rs = statsdb::ExecutePlan(topk_plan, db, &par_profile);
+    db.set_parallel_config(saved_cfg);
     if (!serial_rs.ok() || serial_rs->ToCsv() != topk_expected ||
         !par_rs.ok() || par_rs->ToCsv() != topk_expected) {
       std::fprintf(stderr,

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "statsdb/column_store.h"
 
 namespace ff {
 namespace net {
@@ -151,74 +150,6 @@ StatusOr<Schema> DecodeSchema(WireReader* r) {
     cols.push_back({std::move(name), static_cast<DataType>(type)});
   }
   return Schema(std::move(cols));
-}
-
-void EncodeColumnVector(const statsdb::ColumnVector& col, size_t n,
-                        WireWriter* w) {
-  if (col.is_const || col.vals != nullptr ||
-      col.type == DataType::kNull) {
-    EncodeCells(n, [&](size_t i) { return col.GetValue(i); }, w);
-    return;
-  }
-  const uint64_t* nw = col.null_words;
-  bool any_null = false;
-  if (nw != nullptr) {
-    for (size_t i = 0; i < NullWords(n) && !any_null; ++i) {
-      uint64_t word = nw[i];
-      // Mask bits past n in the last word: chunk bitmaps can be longer
-      // than the rows this vector covers.
-      if ((i + 1) * 64 > n) word &= (uint64_t{1} << (n & 63)) - 1;
-      any_null = word != 0;
-    }
-  }
-  auto write_nulls = [&] {
-    WriteNullBitmap(n, any_null, [&](size_t i) { return col.IsNull(i); }, w);
-  };
-  switch (col.type) {
-    case DataType::kBool: {
-      w->U8(static_cast<uint8_t>(ColumnEncoding::kBool));
-      write_nulls();
-      std::vector<uint8_t> bits((n + 7) / 8, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.IsNull(i) && col.b8[i] != 0) bits[i >> 3] |= 1u << (i & 7);
-      }
-      w->Raw(bits.data(), bits.size());
-      break;
-    }
-    case DataType::kInt64:
-      // Contiguous storage ships as one block copy.
-      w->U8(static_cast<uint8_t>(ColumnEncoding::kInt64));
-      write_nulls();
-      w->Raw(col.i64, n * sizeof(int64_t));
-      break;
-    case DataType::kDouble:
-      w->U8(static_cast<uint8_t>(ColumnEncoding::kDouble));
-      write_nulls();
-      w->Raw(col.f64, n * sizeof(double));
-      break;
-    case DataType::kString: {
-      w->U8(static_cast<uint8_t>(ColumnEncoding::kDict));
-      write_nulls();
-      // Remap table-wide dictionary codes to a frame-local dictionary so
-      // only strings this result actually references ship.
-      std::unordered_map<uint32_t, uint32_t> remap;
-      std::vector<uint32_t> order;
-      std::vector<uint32_t> local(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (col.IsNull(i)) continue;
-        auto [it, inserted] = remap.try_emplace(
-            col.codes[i], static_cast<uint32_t>(order.size()));
-        if (inserted) order.push_back(col.codes[i]);
-        local[i] = it->second;
-      }
-      w->U32(static_cast<uint32_t>(order.size()));
-      for (uint32_t code : order) w->Str(col.dict->at(code));
-      w->Raw(local.data(), local.size() * sizeof(uint32_t));
-      break;
-    }
-    case DataType::kNull:
-      break;  // handled by the generic path above
-  }
 }
 
 void EncodeResultSet(const ResultSet& rs, WireWriter* w) {

@@ -24,8 +24,7 @@
 //     kTagged    nrows x tagged Value (wire.h codec; exact runtime types)
 //
 // Data bytes at null positions of fixed encodings are unspecified and
-// ignored by the decoder — that is what lets the encoder memcpy chunk
-// storage wholesale instead of compacting around NULLs.
+// ignored by the decoder.
 //
 // The encoder picks the encoding by scanning the column's *actual* cell
 // types, not the declared schema type: post-aggregation columns can hold
@@ -34,10 +33,6 @@
 // ResultSet to render byte-identical CSV. A column whose non-null cells
 // are uniformly one primitive type gets the native encoding; mixed
 // columns fall back to kTagged.
-//
-// EncodeColumnVector ships contiguous i64/f64/codes/null-word views with
-// single memcpys — a SELECT that scans straight off ColumnStore chunks
-// serializes without per-cell work.
 
 #ifndef FF_NET_SERIALIZE_H_
 #define FF_NET_SERIALIZE_H_
@@ -45,7 +40,6 @@
 #include <cstdint>
 
 #include "net/wire.h"
-#include "statsdb/batch.h"
 #include "statsdb/query.h"
 #include "util/statusor.h"
 
@@ -73,11 +67,6 @@ void EncodeResultSet(const statsdb::ResultSet& rs, WireWriter* w);
 /// Inverse of EncodeResultSet. Decoded Values are bit-exact copies of
 /// the originals (doubles included), so ToCsv() matches byte-for-byte.
 util::StatusOr<statsdb::ResultSet> DecodeResultSet(WireReader* r);
-
-/// Serializes one column of `n` cells from a ColumnVector. Contiguous
-/// i64/f64/codes storage (chunk-borrowed or owned) is block-copied.
-void EncodeColumnVector(const statsdb::ColumnVector& col, size_t n,
-                        WireWriter* w);
 
 /// Decodes one column block into `n` materialized Values. Allocation is
 /// bounded by bytes actually present in the frame (every encoding's

@@ -185,7 +185,7 @@ struct SweepRuntimeProfile {
 // ---------------------------------------------------------------------------
 // Query profiling: a tree of per-operator counters mirroring a statsdb
 // plan. The executor fills one of these when a query runs under EXPLAIN
-// ANALYZE (or any caller of ExecutePlanProfiled); it has no statsdb
+// ANALYZE (or any caller that passes one to ExecutePlan); it has no statsdb
 // dependencies so it can cross the ff_statsdb/ff_obs layering boundary
 // in either direction.
 
@@ -222,7 +222,7 @@ struct OperatorProfile {
 
 struct QueryProfile {
   std::string engine = "serial";  // "serial", "parallel", or "cache"
-  uint64_t total_ns = 0;          // whole ExecutePlanProfiled call
+  uint64_t total_ns = 0;          // whole profiled execution call
   std::unique_ptr<OperatorProfile> root;
   /// Result-cache disposition: "hit" (served from statsdb's result
   /// cache, nothing executed, root stays null), "miss" (consulted,

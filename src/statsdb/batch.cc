@@ -137,24 +137,18 @@ ColumnVector ColumnVector::Gather(const ColumnVector& src,
   return out;
 }
 
-Row Batch::MaterializeRow(size_t row, size_t width) const {
-  if (row_mode) return RowData()[row];
+Row Batch::MaterializeRow(size_t row) const {
   Row out;
-  out.reserve(width);
-  for (size_t c = 0; c < width; ++c) out.push_back(cols[c].GetValue(row));
+  out.reserve(cols.size());
+  for (const ColumnVector& c : cols) out.push_back(c.GetValue(row));
   return out;
 }
 
 Batch Batch::ViewOf(const Batch& src) {
   Batch out;
   out.num_rows = src.num_rows;
-  out.row_mode = src.row_mode;
-  if (src.row_mode) {
-    out.ext_rows = &src.RowData();
-  } else {
-    out.cols.reserve(src.cols.size());
-    for (const auto& c : src.cols) out.cols.push_back(ColumnVector::View(c));
-  }
+  out.cols.reserve(src.cols.size());
+  for (const auto& c : src.cols) out.cols.push_back(ColumnVector::View(c));
   return out;
 }
 

@@ -1,9 +1,9 @@
 // Column batches streamed between plan nodes by the vectorized executor
-// (see exec.h). A Batch is a window of rows, either columnar (one
-// ColumnVector per output column, usually borrowing storage from a
-// ColumnStore chunk) or row-major (materialized rows produced by pipeline
-// breakers such as aggregation and joins). A selection vector marks the
-// live rows without compacting the underlying columns.
+// (see exec.h). A Batch is a window of rows with one ColumnVector per
+// output column. Scans borrow typed storage from ColumnStore chunks;
+// pipeline breakers (aggregation, sort, distinct, join) emit `vals`-mode
+// vectors holding exact runtime-typed Values. A selection vector marks
+// the live rows without compacting the underlying columns.
 
 #ifndef FF_STATSDB_BATCH_H_
 #define FF_STATSDB_BATCH_H_
@@ -23,8 +23,8 @@ class Expr;
 /// One column of a batch. Element views (`b8`/`i64`/`f64`/`codes`/`vals`)
 /// either borrow storage from a ColumnStore chunk or point into the
 /// vector's own `own_*` stores when the values were computed. A vector in
-/// `vals` mode carries exact Values (used for post-aggregation columns
-/// whose runtime types can differ from the declared schema type).
+/// `vals` mode carries exact Values: pipeline-breaker output, whose
+/// runtime types can differ from the declared schema type.
 class ColumnVector {
  public:
   DataType type = DataType::kNull;
@@ -88,41 +88,29 @@ class ColumnVector {
 struct Batch {
   size_t num_rows = 0;
 
-  // Columnar mode: one vector per output column.
+  // One vector per output column.
   std::vector<ColumnVector> cols;
-
-  // Row mode (pipeline-breaker output): rows live in own_rows, or in
-  // borrowed storage when ext_rows is set.
-  bool row_mode = false;
-  std::vector<Row> own_rows;
-  const std::vector<Row>* ext_rows = nullptr;
 
   // Selection: ascending indices of live rows; all rows live otherwise.
   bool has_sel = false;
   std::vector<uint32_t> sel;
 
-  bool columnar() const { return !row_mode; }
-  const std::vector<Row>& RowData() const {
-    return ext_rows != nullptr ? *ext_rows : own_rows;
-  }
   size_t ActiveRows() const { return has_sel ? sel.size() : num_rows; }
   size_t RowAt(size_t k) const { return has_sel ? sel[k] : k; }
 
-  Value CellValue(size_t row, size_t col) const {
-    return row_mode ? RowData()[row][col] : cols[col].GetValue(row);
-  }
-  /// Materializes one logical row (all `width` columns).
-  Row MaterializeRow(size_t row, size_t width) const;
+  /// Materializes one logical row (every column).
+  Row MaterializeRow(size_t row) const;
 
-  /// Shallow borrow of `src`'s columns (or row storage) without the
-  /// selection; callers install their own.
+  /// Shallow borrow of `src`'s columns without the selection; callers
+  /// install their own.
   static Batch ViewOf(const Batch& src);
 };
 
 /// Vectorized expression evaluation (implemented in expr.cc). Evaluates
 /// `e` for the `n` rows `sel[0..n)` of `batch` (all rows [0, n) when
 /// `sel` is null) and returns a dense vector of length `n`. Semantics
-/// match Expr::Eval row by row, including evaluation order of errors.
+/// match Expr::Eval row by row, including which error is reported: the
+/// one Expr::Eval hits on the first failing row.
 util::StatusOr<ColumnVector> EvalBatch(const Expr& e, const Batch& batch,
                                        const Schema& schema,
                                        const uint32_t* sel, size_t n);

@@ -25,9 +25,10 @@ namespace statsdb {
 inline constexpr size_t kChunkRows = 4096;
 
 /// Append-only interning dictionary for one string column. Codes are
-/// assigned in first-seen order and stay stable for the table's lifetime
-/// (deletes rebuild the store but may keep stale entries; codes present
-/// in the column always resolve).
+/// assigned in first-seen order and stay stable until a delete: cell
+/// updates may leave entries no cell uses, while deletes (EraseRows)
+/// rebuild the dictionary from the surviving cells, so codes may change.
+/// Codes present in the column always resolve.
 class Dictionary {
  public:
   /// Returns the code for `s`, interning it when new.

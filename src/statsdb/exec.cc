@@ -58,13 +58,29 @@ void ApplyBoolMaskSel(const ColumnVector& v, size_t n,
   }
 }
 
-/// Emits `rows` as one row-mode batch in `*out`; nullptr when empty.
+/// Sets `*out` to rows [lo, hi) of `rows` as one `vals`-mode vector per
+/// column: exact runtime-typed Values, whatever the declared types. The
+/// cells are moved out of a mutable `rows` and copied from a const one.
+template <typename Rows>
+void FillColumns(Rows& rows, size_t lo, size_t hi, Batch* out) {
+  *out = Batch();
+  out->num_rows = hi - lo;
+  out->cols.resize(rows[lo].size());
+  for (size_t c = 0; c < out->cols.size(); ++c) {
+    ColumnVector& v = out->cols[c];
+    v.length = hi - lo;
+    v.own_vals.reserve(hi - lo);
+    for (size_t r = lo; r < hi; ++r) {
+      v.own_vals.push_back(std::move(rows[r][c]));
+    }
+    v.Seal();
+  }
+}
+
+/// Emits `rows` as one columnar batch in `*out`; nullptr when empty.
 const Batch* EmitRows(std::vector<Row> rows, Batch* out) {
   if (rows.empty()) return nullptr;
-  *out = Batch();
-  out->row_mode = true;
-  out->num_rows = rows.size();
-  out->own_rows = std::move(rows);
+  FillColumns(rows, 0, rows.size(), out);
   return out;
 }
 
@@ -418,8 +434,6 @@ class SortIterator : public BatchIterator {
   util::StatusOr<const Batch*> Next() override {
     if (done_) return nullptr;
     done_ = true;
-    size_t width = input_->schema().num_columns();
-
     // Strict weak order: sort keys, then arrival order (which makes the
     // heap-based top-k reproduce std::stable_sort's output exactly).
     struct Entry {
@@ -440,7 +454,7 @@ class SortIterator : public BatchIterator {
         FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
         if (in == nullptr) break;
         for (size_t k = 0; k < in->ActiveRows(); ++k) {
-          rows.push_back(in->MaterializeRow(in->RowAt(k), width));
+          rows.push_back(in->MaterializeRow(in->RowAt(k)));
         }
       }
       std::stable_sort(rows.begin(), rows.end(),
@@ -463,8 +477,7 @@ class SortIterator : public BatchIterator {
         FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
         if (in == nullptr) break;
         for (size_t k = 0; k < in->ActiveRows(); ++k) {
-          heap.push(
-              Entry{in->MaterializeRow(in->RowAt(k), width), seq++});
+          heap.push(Entry{in->MaterializeRow(in->RowAt(k)), seq++});
           if (heap.size() > node_.limit_hint) heap.pop();
         }
       }
@@ -496,16 +509,14 @@ class DistinctIterator : public BatchIterator {
   const Schema& schema() const override { return input_->schema(); }
 
   util::StatusOr<const Batch*> Next() override {
-    size_t width = input_->schema().num_columns();
     for (;;) {
       FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
       if (in == nullptr) return nullptr;
-      out_ = Batch();
-      out_.row_mode = true;
+      std::vector<Row> rows;
 
       // Single dictionary-encoded column: distinct codes are distinct
       // strings, so dedup is an array lookup instead of a row-hash probe.
-      if (width == 1 && in->columnar() && in->cols[0].vals == nullptr &&
+      if (in->cols.size() == 1 && in->cols[0].vals == nullptr &&
           in->cols[0].type == DataType::kString) {
         const ColumnVector& v = in->cols[0];
         for (size_t k = 0; k < in->ActiveRows(); ++k) {
@@ -513,7 +524,7 @@ class DistinctIterator : public BatchIterator {
           if (v.IsNull(r)) {
             if (!seen_null_) {
               seen_null_ = true;
-              out_.own_rows.push_back(Row{Value::Null()});
+              rows.push_back(Row{Value::Null()});
             }
             continue;
           }
@@ -521,19 +532,16 @@ class DistinctIterator : public BatchIterator {
           if (code >= seen_codes_.size()) seen_codes_.resize(code + 1, 0);
           if (!seen_codes_[code]) {
             seen_codes_[code] = 1;
-            out_.own_rows.push_back(Row{Value::String(v.dict->at(code))});
+            rows.push_back(Row{Value::String(v.dict->at(code))});
           }
         }
       } else {
         for (size_t k = 0; k < in->ActiveRows(); ++k) {
-          Row row = in->MaterializeRow(in->RowAt(k), width);
-          if (seen_.insert(row).second) out_.own_rows.push_back(std::move(row));
+          Row row = in->MaterializeRow(in->RowAt(k));
+          if (seen_.insert(row).second) rows.push_back(std::move(row));
         }
       }
-
-      if (out_.own_rows.empty()) continue;
-      out_.num_rows = out_.own_rows.size();
-      return &out_;
+      if (const Batch* out = EmitRows(std::move(rows), &out_)) return out;
     }
   }
 
@@ -564,12 +572,11 @@ class HashJoinIterator : public BatchIterator {
   util::StatusOr<const Batch*> Next() override {
     if (!built_) {
       built_ = true;
-      size_t rwidth = right_->schema().num_columns();
       for (;;) {
         FF_ASSIGN_OR_RETURN(const Batch* in, right_->Next());
         if (in == nullptr) break;
         for (size_t k = 0; k < in->ActiveRows(); ++k) {
-          Row row = in->MaterializeRow(in->RowAt(k), rwidth);
+          Row row = in->MaterializeRow(in->RowAt(k));
           if (!row[rc_].is_null()) {  // NULL never joins
             build_[row[rc_]].push_back(right_rows_.size());
           }
@@ -577,14 +584,12 @@ class HashJoinIterator : public BatchIterator {
         }
       }
     }
-    size_t lwidth = left_->schema().num_columns();
     for (;;) {
       FF_ASSIGN_OR_RETURN(const Batch* in, left_->Next());
       if (in == nullptr) return nullptr;
-      out_ = Batch();
-      out_.row_mode = true;
+      std::vector<Row> rows;
       for (size_t k = 0; k < in->ActiveRows(); ++k) {
-        Row lrow = in->MaterializeRow(in->RowAt(k), lwidth);
+        Row lrow = in->MaterializeRow(in->RowAt(k));
         if (lrow[lc_].is_null()) continue;
         auto it = build_.find(lrow[lc_]);
         if (it == build_.end()) continue;
@@ -592,12 +597,10 @@ class HashJoinIterator : public BatchIterator {
           Row joined = lrow;
           const Row& rrow = right_rows_[ri];
           joined.insert(joined.end(), rrow.begin(), rrow.end());
-          out_.own_rows.push_back(std::move(joined));
+          rows.push_back(std::move(joined));
         }
       }
-      if (out_.own_rows.empty()) continue;
-      out_.num_rows = out_.own_rows.size();
-      return &out_;
+      if (const Batch* out = EmitRows(std::move(rows), &out_)) return out;
     }
   }
 
@@ -680,16 +683,7 @@ class MaterializedIterator : public BatchIterator {
     if (next_ == n) return nullptr;
     size_t end = batch_ < node_.batch_ends.size() ? node_.batch_ends[batch_++]
                                                   : n;
-    out_ = Batch();
-    out_.row_mode = true;
-    out_.num_rows = n;
-    out_.ext_rows = node_.rows.get();  // zero-copy borrow
-    if (next_ > 0 || end < n) {
-      out_.has_sel = true;
-      for (; next_ < end; ++next_) {
-        out_.sel.push_back(static_cast<uint32_t>(next_));
-      }
-    }
+    FillColumns(*node_.rows, next_, end, &out_);
     next_ = end;
     return &out_;
   }
@@ -948,12 +942,11 @@ util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
 
 util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
                        std::vector<size_t>* batch_ends) {
-  size_t width = it.schema().num_columns();
   for (;;) {
     FF_ASSIGN_OR_RETURN(const Batch* batch, it.Next());
     if (batch == nullptr) return util::Status::OK();
     for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      out->push_back(batch->MaterializeRow(batch->RowAt(k), width));
+      out->push_back(batch->MaterializeRow(batch->RowAt(k)));
     }
     if (batch_ends != nullptr && batch->ActiveRows() > 0) {
       batch_ends->push_back(out->size());
@@ -968,9 +961,22 @@ util::StatusOr<ResultSet> Drain(BatchIterator& it) {
 }
 
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
-                                          const Database& db) {
-  FF_ASSIGN_OR_RETURN(IterPtr it, BuildIterator(plan, db));
-  return Drain(*it);
+                                          const Database& db,
+                                          obs::QueryProfile* profile) {
+  if (profile == nullptr) {
+    FF_ASSIGN_OR_RETURN(IterPtr it, BuildIterator(plan, db));
+    return Drain(*it);
+  }
+  profile->root = std::make_unique<obs::OperatorProfile>();
+  int64_t t0 = 0;
+  if constexpr (obs::kProfilingCompiledIn) t0 = obs::RuntimeNowNs();
+  FF_ASSIGN_OR_RETURN(IterPtr it,
+                      BuildIterator(plan, db, profile->root.get()));
+  FF_ASSIGN_OR_RETURN(ResultSet rs, Drain(*it));
+  if constexpr (obs::kProfilingCompiledIn) {
+    profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
+  }
+  return rs;
 }
 
 util::Status GroupedAgg::FoldAll(BatchIterator& input) {
@@ -1003,7 +1009,7 @@ util::Status GroupedAgg::Fold(const Batch& in, const Schema& in_schema) {
   for (size_t k = 0; k < n; ++k) {
     size_t r = in.RowAt(k);
     key.clear();
-    for (size_t i : key_cols_) key.push_back(in.CellValue(r, i));
+    for (size_t i : key_cols_) key.push_back(in.cols[i].GetValue(r));
     size_t g = GroupIndex(key);
     if (g == part_of_.size()) part_of_.push_back(kNoPart);  // new group
     if (part_of_[g] == kNoPart) {
@@ -1075,21 +1081,6 @@ std::vector<Row> GroupedAgg::Finish(const Schema& out_schema) const {
   return rows;
 }
 
-util::StatusOr<ResultSet> ExecuteColumnarProfiled(const PlanNode& plan,
-                                                  const Database& db,
-                                                  obs::QueryProfile* profile) {
-  profile->root = std::make_unique<obs::OperatorProfile>();
-  int64_t t0 = 0;
-  if constexpr (obs::kProfilingCompiledIn) t0 = obs::RuntimeNowNs();
-  FF_ASSIGN_OR_RETURN(IterPtr it,
-                      BuildIterator(plan, db, profile->root.get()));
-  FF_ASSIGN_OR_RETURN(ResultSet rs, Drain(*it));
-  if constexpr (obs::kProfilingCompiledIn) {
-    profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
-  }
-  return rs;
-}
-
 std::string NodeLabel(const PlanNode& plan) {
   switch (plan.kind()) {
     case PlanKind::kScan:
@@ -1159,13 +1150,14 @@ std::vector<std::string> ExplainPlanLines(const PlanNode& plan) {
 }
 
 util::StatusOr<ResultSet> ExecutePlan(const PlanPtr& plan,
-                                      const Database& db) {
+                                      const Database& db,
+                                      obs::QueryProfile* profile) {
   PlanPtr optimized = OptimizePlan(plan, db);
   // Consults the result cache when the database's cache config enables
   // it, then dispatches to the morsel-parallel executor when the
   // parallel config (and the hardware) allow it; byte-identical results
   // in every combination, with a zero-overhead serial path otherwise.
-  return ExecuteOptimized(optimized, db);
+  return ExecuteOptimized(optimized, db, profile);
 }
 
 }  // namespace statsdb

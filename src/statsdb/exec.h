@@ -1,11 +1,12 @@
-// Vectorized executor: plan nodes stream column batches (batch.h) instead
-// of materializing whole ResultSets. Scans slice ColumnStore chunks into
-// zero-copy batches (pruning chunks via zone maps and serving equality
-// predicates from hash indexes), filters refine selection vectors, and
-// pipeline breakers (aggregate, sort, join, distinct) emit row-mode
-// batches. Results match the row-at-a-time reference engine
-// (PlanNode::Execute) row for row; plans coming from Query/SQL run here
-// after the planner pass (planner.h).
+// Vectorized executor, the one engine that runs queries: plan nodes
+// stream column batches (batch.h) instead of materializing whole
+// ResultSets. Scans slice ColumnStore chunks into zero-copy batches
+// (pruning chunks via zone maps and serving equality predicates from hash
+// indexes), filters refine selection vectors, and pipeline breakers
+// (aggregate, sort, join, distinct) emit batches of exact Values. Plans
+// coming from Query/SQL run here after the planner pass (planner.h); the
+// morsel-parallel executor (parallel_exec.h) runs these same operators
+// per chunk.
 
 #ifndef FF_STATSDB_EXEC_H_
 #define FF_STATSDB_EXEC_H_
@@ -156,17 +157,12 @@ util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
 util::StatusOr<ResultSet> Drain(BatchIterator& it);
 
 /// Runs `plan` through the vectorized engine as-is (no planner pass) and
-/// materializes the result.
+/// materializes the result. A non-null `profile` gets the per-operator
+/// tree (profile->root) and profile->total_ns; the rows are the same,
+/// because the profiled iterators are pass-through observers.
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
-                                          const Database& db);
-
-/// ExecuteColumnar with per-operator profiling: fills profile->root (and
-/// profile->total_ns) while producing the exact same rows — the profiled
-/// iterators are pass-through observers. Serial engine only; the
-/// parallel counterpart is ExecutePlanProfiled (parallel_exec.h).
-util::StatusOr<ResultSet> ExecuteColumnarProfiled(const PlanNode& plan,
-                                                  const Database& db,
-                                                  obs::QueryProfile* profile);
+                                          const Database& db,
+                                          obs::QueryProfile* profile = nullptr);
 
 /// Node-local operator label for EXPLAIN output and operator profiles:
 /// the node's own parameters without its inputs (a Scan leaf keeps its
@@ -178,9 +174,12 @@ std::string NodeLabel(const PlanNode& plan);
 std::vector<std::string> ExplainPlanLines(const PlanNode& plan);
 
 /// Production entry point: optimizes `plan` (predicate pushdown, index
-/// selection, top-k) and executes it through the vectorized engine.
+/// selection, top-k) and executes it through ExecuteOptimized
+/// (parallel_exec.h) with the database's cache and parallel configs.
+/// A non-null `profile` is filled as ExecuteOptimized describes.
 util::StatusOr<ResultSet> ExecutePlan(const PlanPtr& plan,
-                                      const Database& db);
+                                      const Database& db,
+                                      obs::QueryProfile* profile = nullptr);
 
 }  // namespace statsdb
 }  // namespace ff

@@ -1079,23 +1079,9 @@ util::StatusOr<ColumnVector> EvalBinaryVec(BinaryOp op,
   return util::Status::Internal("unhandled binary op");
 }
 
-}  // namespace
-
-util::StatusOr<ColumnVector> EvalBatch(const Expr& e, const Batch& batch,
-                                       const Schema& schema,
-                                       const uint32_t* sel, size_t n) {
-  if (!batch.columnar()) {
-    const auto& rows = batch.RowData();
-    ColumnVector out;
-    out.length = n;
-    out.own_vals.reserve(n);
-    for (size_t k = 0; k < n; ++k) {
-      FF_ASSIGN_OR_RETURN(Value v, e.Eval(rows[SelRow(sel, k)], schema));
-      out.own_vals.push_back(std::move(v));
-    }
-    out.Seal();
-    return out;
-  }
+util::StatusOr<ColumnVector> EvalVec(const Expr& e, const Batch& batch,
+                                     const Schema& schema,
+                                     const uint32_t* sel, size_t n) {
   switch (e.kind()) {
     case Expr::Kind::kLiteral:
       return ColumnVector::Constant(*e.literal(), n);
@@ -1113,18 +1099,37 @@ util::StatusOr<ColumnVector> EvalBatch(const Expr& e, const Batch& batch,
     }
     case Expr::Kind::kUnary: {
       FF_ASSIGN_OR_RETURN(ColumnVector v,
-                          EvalBatch(*e.child(0), batch, schema, sel, n));
+                          EvalVec(*e.child(0), batch, schema, sel, n));
       return EvalUnaryVec(e.unary_op(), v, n);
     }
     case Expr::Kind::kBinary: {
       FF_ASSIGN_OR_RETURN(ColumnVector a,
-                          EvalBatch(*e.child(0), batch, schema, sel, n));
+                          EvalVec(*e.child(0), batch, schema, sel, n));
       FF_ASSIGN_OR_RETURN(ColumnVector b,
-                          EvalBatch(*e.child(1), batch, schema, sel, n));
+                          EvalVec(*e.child(1), batch, schema, sel, n));
       return EvalBinaryVec(e.binary_op(), a, b, n);
     }
   }
   return util::Status::Internal("unhandled expr kind");
+}
+
+}  // namespace
+
+util::StatusOr<ColumnVector> EvalBatch(const Expr& e, const Batch& batch,
+                                       const Schema& schema,
+                                       const uint32_t* sel, size_t n) {
+  util::StatusOr<ColumnVector> out = EvalVec(e, batch, schema, sel, n);
+  if (out.ok() || n <= 1) return out;
+  // Each kernel runs one sub-expression over all n rows, so `out` holds
+  // the first failing sub-expression's error. Expr::Eval instead fails
+  // on the first row where any sub-expression does: re-run the rows one
+  // at a time to report that row's error.
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t row = static_cast<uint32_t>(SelRow(sel, k));
+    util::StatusOr<ColumnVector> one = EvalVec(e, batch, schema, &row, 1);
+    if (!one.ok()) return one.status();
+  }
+  return out;
 }
 
 }  // namespace statsdb

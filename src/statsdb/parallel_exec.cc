@@ -48,10 +48,10 @@ struct RewriteCtx {
   const Database& db;
   const ParallelConfig& cfg;
   parallel::ThreadPool* pool;
-  /// Non-null when the query runs profiled (ExecutePlanProfiled): each
-  /// parallel unit deposits its "Parallel[<op>]" profile here, keyed by
-  /// the MaterializedNode that replaced the pipeline, for the post-
-  /// execution splice into the query's operator tree.
+  /// Non-null when the query runs profiled: each parallel unit deposits
+  /// its "Parallel[<op>]" profile here, keyed by the MaterializedNode
+  /// that replaced the pipeline, for the post-execution splice into the
+  /// query's operator tree.
   std::unordered_map<const PlanNode*, std::unique_ptr<obs::OperatorProfile>>*
       unit_profiles = nullptr;
 };
@@ -434,8 +434,7 @@ util::StatusOr<ResultSet> ExecuteParallelImpl(const PlanPtr& plan,
                        : config.max_threads;
   if (!config.enabled || threads <= 1) {
     // Zero-overhead serial path; no pool is created.
-    if (profile != nullptr) return ExecuteColumnarProfiled(*plan, db, profile);
-    return ExecuteColumnar(*plan, db);
+    return ExecuteColumnar(*plan, db, profile);
   }
 
   // Pre-validation: building the full serial iterator tree surfaces
@@ -458,7 +457,7 @@ util::StatusOr<ResultSet> ExecuteParallelImpl(const PlanPtr& plan,
     if (profile != nullptr) {
       // Nothing was eligible; re-run profiled (the second Init is the
       // price of observation — results are identical by contract).
-      return ExecuteColumnarProfiled(*plan, db, profile);
+      return ExecuteColumnar(*plan, db, profile);
     }
     // Drain the prevalidated tree directly rather than paying a second
     // Init (notably a second index Lookup).
@@ -478,58 +477,25 @@ util::StatusOr<ResultSet> ExecuteParallelImpl(const PlanPtr& plan,
   }
   if (profile != nullptr) {
     FF_ASSIGN_OR_RETURN(ResultSet rs,
-                        ExecuteColumnarProfiled(*rewritten, db, profile));
+                        ExecuteColumnar(*rewritten, db, profile));
     SpliceUnitProfiles(*rewritten, profile->root.get(), &units);
     return rs;
   }
   return ExecuteColumnar(*rewritten, db);
 }
 
-/// The one result-cache path behind ExecuteOptimized and its profiled
-/// variant: consults, bypasses or fills the cache, and executes on a
-/// miss. A non-null `profile` also gets the cache= and engine= labels
-/// and the whole call's total_ns.
-util::StatusOr<ResultSet> ExecuteCached(const PlanPtr& optimized,
-                                        const Database& db,
-                                        const ParallelConfig& config,
-                                        obs::QueryProfile* profile) {
-  if (optimized == nullptr) {
-    return util::Status::InvalidArgument("null plan");
+/// Start time for StampTotal: now when `profile` is timed, else 0.
+int64_t ProfileStart(const obs::QueryProfile* profile) {
+  return obs::kProfilingCompiledIn && profile != nullptr
+             ? obs::RuntimeNowNs()
+             : 0;
+}
+
+/// Sets profile->total_ns to the time since `t0` (ProfileStart).
+void StampTotal(obs::QueryProfile* profile, int64_t t0) {
+  if (obs::kProfilingCompiledIn && profile != nullptr) {
+    profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
   }
-  const int64_t t0 = obs::kProfilingCompiledIn && profile != nullptr
-                         ? obs::RuntimeNowNs()
-                         : 0;
-  auto stamp_total = [&] {
-    if (obs::kProfilingCompiledIn && profile != nullptr) {
-      profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
-    }
-  };
-  QueryCache& qc = db.cache();
-  QueryCache::ResultKey key;
-  if (qc.config().mode == CacheConfig::Mode::kFull) {
-    key = QueryCache::MakeResultKey(*optimized, db);
-  }
-  if (!key.cacheable) {
-    qc.RecordResultBypass();
-    if (profile != nullptr) profile->cache = "bypass";
-  } else if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
-    // Nothing executed: no operator tree, and the engine label says so.
-    // The result bytes are identical to a real run by contract.
-    if (profile != nullptr) {
-      profile->cache = "hit";
-      profile->engine = "cache";
-    }
-    stamp_total();
-    return *hit;  // copy out; the cached ResultSet stays immutable
-  } else if (profile != nullptr) {
-    profile->cache = "miss";
-  }
-  auto result = ExecuteParallelImpl(optimized, db, config, profile);
-  // Whole-call wall time, covering parallel units executed during the
-  // rewrite as well as the final serial drain.
-  stamp_total();
-  if (key.cacheable && result.ok()) qc.PutResult(key, *result);
-  return result;
 }
 
 }  // namespace
@@ -553,47 +519,47 @@ ParallelConfig ParallelConfig::FromEnv() {
 
 util::StatusOr<ResultSet> ExecuteParallel(const PlanPtr& plan,
                                           const Database& db,
-                                          const ParallelConfig& config) {
-  return ExecuteParallelImpl(plan, db, config, nullptr);
-}
-
-util::StatusOr<ResultSet> ExecuteParallel(const PlanPtr& plan,
-                                          const Database& db) {
-  return ExecuteParallel(plan, db, db.parallel_config());
+                                          const ParallelConfig& config,
+                                          obs::QueryProfile* profile) {
+  // Whole-call wall time, covering parallel units executed during the
+  // rewrite as well as the final serial drain.
+  const int64_t t0 = ProfileStart(profile);
+  auto result = ExecuteParallelImpl(plan, db, config, profile);
+  StampTotal(profile, t0);
+  return result;
 }
 
 util::StatusOr<ResultSet> ExecuteOptimized(const PlanPtr& optimized,
-                                           const Database& db) {
-  return ExecuteCached(optimized, db, db.parallel_config(), nullptr);
-}
-
-util::StatusOr<ResultSet> ExecuteOptimizedProfiled(
-    const PlanPtr& optimized, const Database& db,
-    const ParallelConfig& config, obs::QueryProfile* profile) {
-  if (profile == nullptr) {
-    return util::Status::InvalidArgument("null profile");
-  }
-  return ExecuteCached(optimized, db, config, profile);
-}
-
-util::StatusOr<ResultSet> ExecutePlanProfiled(const PlanPtr& plan,
-                                              const Database& db,
-                                              const ParallelConfig& config,
-                                              obs::QueryProfile* profile) {
-  if (profile == nullptr) {
-    return util::Status::InvalidArgument("null profile");
-  }
-  if (plan == nullptr) {
+                                           const Database& db,
+                                           obs::QueryProfile* profile) {
+  if (optimized == nullptr) {
     return util::Status::InvalidArgument("null plan");
   }
-  return ExecuteOptimizedProfiled(OptimizePlan(plan, db), db, config,
-                                  profile);
-}
-
-util::StatusOr<ResultSet> ExecutePlanProfiled(const PlanPtr& plan,
-                                              const Database& db,
-                                              obs::QueryProfile* profile) {
-  return ExecutePlanProfiled(plan, db, db.parallel_config(), profile);
+  const int64_t t0 = ProfileStart(profile);
+  QueryCache& qc = db.cache();
+  QueryCache::ResultKey key;
+  if (qc.config().mode == CacheConfig::Mode::kFull) {
+    key = QueryCache::MakeResultKey(*optimized, db);
+  }
+  if (!key.cacheable) {
+    qc.RecordResultBypass();
+    if (profile != nullptr) profile->cache = "bypass";
+  } else if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
+    // Nothing executed: no operator tree, and the engine label says so.
+    // The result bytes are identical to a real run by contract.
+    if (profile != nullptr) {
+      profile->cache = "hit";
+      profile->engine = "cache";
+    }
+    StampTotal(profile, t0);
+    return *hit;  // copy out; the cached ResultSet stays immutable
+  } else if (profile != nullptr) {
+    profile->cache = "miss";
+  }
+  auto result = ExecuteParallel(optimized, db, db.parallel_config(), profile);
+  StampTotal(profile, t0);  // the cache lookup included
+  if (key.cacheable && result.ok()) qc.PutResult(key, *result);
+  return result;
 }
 
 }  // namespace statsdb

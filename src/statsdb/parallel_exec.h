@@ -103,53 +103,34 @@ struct ParallelConfig {
 /// Executes an already-optimized plan, fanning eligible pipelines across
 /// `config`-resolved threads. Falls back to the serial vectorized engine
 /// (byte-identical results by contract) when disabled, single-threaded,
-/// or when no pipeline is eligible.
+/// or when no pipeline is eligible. A non-null `profile` gets the
+/// wall-clock per-operator tree (obs/runtime_stats.h), the engine that
+/// actually ran in `profile->engine`, and the whole call's total_ns.
+/// Each parallelized pipeline appears as a "Parallel[<op>]" node under
+/// the MaterializedNode that replaced it, carrying morsel count,
+/// merge-cascade time, and the per-morsel chain profile merged in morsel
+/// order (chain wall times are CPU time summed across morsels). Results
+/// stay byte-identical to the unprofiled run.
 util::StatusOr<ResultSet> ExecuteParallel(const PlanPtr& plan,
                                           const Database& db,
-                                          const ParallelConfig& config);
-
-/// As above with the database's own config (Database::parallel_config).
-util::StatusOr<ResultSet> ExecuteParallel(const PlanPtr& plan,
-                                          const Database& db);
+                                          const ParallelConfig& config,
+                                          obs::QueryProfile* profile = nullptr);
 
 /// Production execution of an already-optimized plan: consults the
 /// database's result cache (cache.h) before either engine runs, then
-/// falls through to ExecuteParallel. Successful results are stored;
-/// error results never are (re-execution is byte-identical and cheap).
-/// ExecutePlan (exec.h), Database::Sql, and PreparedStatement::Execute
-/// all funnel through here; the engine-level entry points
-/// (ExecuteParallel, ExecuteColumnar) stay cache-free so tests can
-/// always reach the real engines.
-util::StatusOr<ResultSet> ExecuteOptimized(const PlanPtr& optimized,
-                                           const Database& db);
-
-/// Profiled variant of ExecuteOptimized: annotates `profile->cache`
-/// with "hit" (served from the result cache, nothing executed — the
-/// operator tree stays empty and engine reports "cache"), "miss"
-/// (consulted, executed, stored), or "bypass" (cache off or plan
-/// uncacheable). Results remain byte-identical to the unprofiled run.
-util::StatusOr<ResultSet> ExecuteOptimizedProfiled(
+/// falls through to ExecuteParallel with the database's parallel config.
+/// Successful results are stored; error results never are (re-execution
+/// is byte-identical and cheap). ExecutePlan (exec.h), Database::Sql, and
+/// PreparedStatement::Execute all funnel through here; the engine-level
+/// entry points (ExecuteParallel, ExecuteColumnar) stay cache-free so
+/// tests can always reach the real engines. A non-null `profile` is
+/// filled as ExecuteParallel fills it, plus `profile->cache`: "hit"
+/// (served from the result cache, nothing executed — the operator tree
+/// stays empty and engine reports "cache"), "miss" (consulted, executed,
+/// stored), or "bypass" (cache off or plan uncacheable).
+util::StatusOr<ResultSet> ExecuteOptimized(
     const PlanPtr& optimized, const Database& db,
-    const ParallelConfig& config, obs::QueryProfile* profile);
-
-/// Production profiled entry point (EXPLAIN ANALYZE): optimizes `plan`
-/// like ExecutePlan, executes it — parallel when eligible, serial
-/// fallback otherwise — and fills `profile` with the wall-clock
-/// per-operator tree (obs/runtime_stats.h). Each parallelized pipeline
-/// appears as a "Parallel[<op>]" node under the MaterializedNode that
-/// replaced it, carrying morsel count, merge-cascade time, and the
-/// per-morsel chain profile merged in morsel order (chain wall times are
-/// CPU time summed across morsels). Results stay byte-identical to the
-/// unprofiled run; `profile->engine` reports which engine actually ran.
-util::StatusOr<ResultSet> ExecutePlanProfiled(const PlanPtr& plan,
-                                              const Database& db,
-                                              const ParallelConfig& config,
-                                              obs::QueryProfile* profile);
-
-/// As above with the database's own config.
-util::StatusOr<ResultSet> ExecutePlanProfiled(const PlanPtr& plan,
-                                              const Database& db,
-                                              obs::QueryProfile* profile);
+    obs::QueryProfile* profile = nullptr);
 
 }  // namespace statsdb
 }  // namespace ff

@@ -1,9 +1,6 @@
 #include "statsdb/plan.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "statsdb/database.h"
 #include "util/logging.h"
@@ -197,37 +194,7 @@ Schema JoinOutputSchema(const Schema& l, const Schema& r) {
   return Schema(std::move(cols));
 }
 
-namespace {
-
-/// Applies WHERE semantics of `predicate` to `rs` in place (used by both
-/// FilterNode and a scan with a pushed-down predicate).
-util::Status FilterRows(const ExprPtr& predicate, ResultSet* rs) {
-  FF_ASSIGN_OR_RETURN(DataType t, predicate->ResultType(rs->schema));
-  if (t != DataType::kBool && t != DataType::kNull) {
-    return util::Status::InvalidArgument(
-        "WHERE predicate must be boolean: " + predicate->ToString());
-  }
-  std::vector<Row> kept;
-  for (auto& row : rs->rows) {
-    FF_ASSIGN_OR_RETURN(Value v, predicate->Eval(row, rs->schema));
-    if (!v.is_null() && v.bool_value()) kept.push_back(std::move(row));
-  }
-  rs->rows = std::move(kept);
-  return util::Status::OK();
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ the nodes
-
-util::StatusOr<ResultSet> ScanNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(const Table* t, db.table(table));
-  ResultSet rs{t->schema(), t->rows()};
-  // The index annotation is a pure access-path hint: its conjunct stays
-  // in the predicate, so applying the predicate alone is exact.
-  if (predicate != nullptr) FF_RETURN_IF_ERROR(FilterRows(predicate, &rs));
-  return rs;
-}
 
 std::string ScanNode::ToString() const {
   std::string out = "Scan(" + table;
@@ -251,38 +218,8 @@ std::string ScanNode::ToString() const {
   return out + ")";
 }
 
-util::StatusOr<ResultSet> FilterNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-  FF_RETURN_IF_ERROR(FilterRows(predicate, &in));
-  return in;
-}
-
 std::string FilterNode::ToString() const {
   return "Filter(" + predicate->ToString() + ", " + input->ToString() + ")";
-}
-
-util::StatusOr<ResultSet> ProjectNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-  std::vector<Column> cols;
-  for (const auto& item : items) {
-    FF_ASSIGN_OR_RETURN(DataType t, item.expr->ResultType(in.schema));
-    std::string name = item.alias.empty() ? item.expr->ToString() : item.alias;
-    // NULL-typed output columns (e.g. literal NULL) degrade to string.
-    cols.push_back(
-        Column{name, t == DataType::kNull ? DataType::kString : t});
-  }
-  ResultSet out{Schema(std::move(cols)), {}};
-  out.rows.reserve(in.rows.size());
-  for (const auto& row : in.rows) {
-    Row projected;
-    projected.reserve(items.size());
-    for (const auto& item : items) {
-      FF_ASSIGN_OR_RETURN(Value v, item.expr->Eval(row, in.schema));
-      projected.push_back(std::move(v));
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  return out;
 }
 
 std::string ProjectNode::ToString() const {
@@ -295,51 +232,6 @@ std::string ProjectNode::ToString() const {
          ")";
 }
 
-util::StatusOr<ResultSet> AggregateNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-
-  std::vector<size_t> key_cols;
-  FF_ASSIGN_OR_RETURN(Schema out_schema,
-                      AggOutputSchema(in.schema, group_by, aggs, &key_cols));
-
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index;
-  std::vector<Group> groups;
-
-  for (const auto& row : in.rows) {
-    Row key;
-    key.reserve(key_cols.size());
-    for (size_t i : key_cols) key.push_back(row[i]);
-    auto [it, inserted] = group_index.try_emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{key, NewAggStates(aggs)});
-    }
-    Group& g = groups[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (aggs[a].func == AggFunc::kCountStar) {
-        ++g.states[a].count;
-      } else {
-        FF_ASSIGN_OR_RETURN(Value v, aggs[a].arg->Eval(row, in.schema));
-        g.states[a].Add(v);
-      }
-    }
-  }
-
-  // Global aggregate over an empty input still yields one row.
-  if (groups.empty() && key_cols.empty()) {
-    groups.push_back(Group{{}, NewAggStates(aggs)});
-  }
-
-  ResultSet out{std::move(out_schema), {}};
-  for (const auto& g : groups) {
-    out.rows.push_back(FinalizeAggRow(g.key, g.states, aggs, out.schema));
-  }
-  return out;
-}
-
 std::string AggregateNode::ToString() const {
   std::vector<std::string> parts;
   for (const auto& a : aggs) {
@@ -348,57 +240,6 @@ std::string AggregateNode::ToString() const {
   }
   return "Aggregate(by=[" + util::Join(group_by, ", ") + "], aggs=[" +
          util::Join(parts, ", ") + "], " + input->ToString() + ")";
-}
-
-util::StatusOr<ResultSet> SortNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-  std::vector<size_t> cols;
-  for (const auto& k : keys) {
-    FF_ASSIGN_OR_RETURN(size_t i, in.schema.IndexOf(k.column));
-    cols.push_back(i);
-  }
-  // With a planner top-k hint (ORDER BY under LIMIT), keep a bounded
-  // heap of the first `limit_hint` rows in sort order instead of sorting
-  // everything: O(n log k) and k rows of output. Ties break by original
-  // row index, so the result is exactly the stable_sort prefix and the
-  // reference and vectorized engines stay bit-for-bit comparable.
-  if (limit_hint > 0 && limit_hint < in.rows.size()) {
-    auto before = [&](size_t a, size_t b) {
-      for (size_t k = 0; k < cols.size(); ++k) {
-        int c = in.rows[a][cols[k]].Compare(in.rows[b][cols[k]]);
-        if (c != 0) return keys[k].ascending ? c < 0 : c > 0;
-      }
-      return a < b;
-    };
-    // Max-heap under `before`: the top is the worst survivor, evicted
-    // whenever a row that sorts earlier arrives.
-    std::priority_queue<size_t, std::vector<size_t>, decltype(before)> heap(
-        before);
-    for (size_t i = 0; i < in.rows.size(); ++i) {
-      heap.push(i);
-      if (heap.size() > limit_hint) heap.pop();
-    }
-    std::vector<size_t> order(heap.size());
-    for (size_t j = order.size(); j-- > 0;) {
-      order[j] = heap.top();
-      heap.pop();
-    }
-    ResultSet out{in.schema, {}};
-    out.rows.reserve(order.size());
-    for (size_t i : order) out.rows.push_back(std::move(in.rows[i]));
-    return out;
-  }
-  std::stable_sort(in.rows.begin(), in.rows.end(),
-                   [&](const Row& a, const Row& b) {
-                     for (size_t k = 0; k < cols.size(); ++k) {
-                       int c = a[cols[k]].Compare(b[cols[k]]);
-                       if (c != 0) {
-                         return keys[k].ascending ? c < 0 : c > 0;
-                       }
-                     }
-                     return false;
-                   });
-  return in;
 }
 
 std::string SortNode::ToString() const {
@@ -412,76 +253,18 @@ std::string SortNode::ToString() const {
          input->ToString() + ")";
 }
 
-util::StatusOr<ResultSet> LimitNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-  ResultSet out{in.schema, {}};
-  for (size_t i = offset; i < in.rows.size() && out.rows.size() < limit;
-       ++i) {
-    out.rows.push_back(std::move(in.rows[i]));
-  }
-  return out;
-}
-
 std::string LimitNode::ToString() const {
   return util::StrFormat("Limit(%zu, offset=%zu, ", limit, offset) +
          input->ToString() + ")";
-}
-
-util::StatusOr<ResultSet> DistinctNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet in, input->Execute(db));
-  ResultSet out{in.schema, {}};
-  std::unordered_set<Row, RowHash, RowEq> seen;
-  for (auto& row : in.rows) {
-    if (seen.insert(row).second) out.rows.push_back(std::move(row));
-  }
-  return out;
 }
 
 std::string DistinctNode::ToString() const {
   return "Distinct(" + input->ToString() + ")";
 }
 
-util::StatusOr<ResultSet> HashJoinNode::Execute(const Database& db) const {
-  FF_ASSIGN_OR_RETURN(ResultSet l, left->Execute(db));
-  FF_ASSIGN_OR_RETURN(ResultSet r, right->Execute(db));
-  FF_ASSIGN_OR_RETURN(size_t lc, l.schema.IndexOf(left_col));
-  FF_ASSIGN_OR_RETURN(size_t rc, r.schema.IndexOf(right_col));
-
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  struct ValueEq {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Compare(b) == 0;
-    }
-  };
-  std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq> build;
-  for (size_t i = 0; i < r.rows.size(); ++i) {
-    if (r.rows[i][rc].is_null()) continue;  // NULL never joins
-    build[r.rows[i][rc]].push_back(i);
-  }
-
-  ResultSet out{JoinOutputSchema(l.schema, r.schema), {}};
-  for (const auto& lrow : l.rows) {
-    if (lrow[lc].is_null()) continue;
-    auto it = build.find(lrow[lc]);
-    if (it == build.end()) continue;
-    for (size_t ri : it->second) {
-      Row joined = lrow;
-      joined.insert(joined.end(), r.rows[ri].begin(), r.rows[ri].end());
-      out.rows.push_back(std::move(joined));
-    }
-  }
-  return out;
-}
-
 std::string HashJoinNode::ToString() const {
   return "HashJoin(" + left_col + " = " + right_col + ", " +
          left->ToString() + ", " + right->ToString() + ")";
-}
-
-util::StatusOr<ResultSet> MaterializedNode::Execute(const Database&) const {
-  return ResultSet{schema, *rows};
 }
 
 std::string MaterializedNode::ToString() const {

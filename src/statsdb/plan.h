@@ -1,8 +1,7 @@
-// Concrete plan-node classes, shared between the row-at-a-time reference
-// engine (PlanNode::Execute), the predicate-pushdown planner (planner.h),
-// and the vectorized executor (exec.h). Members are public so the planner
-// can rewrite trees and the executor can dispatch on PlanKind without
-// RTTI.
+// Concrete plan-node classes, shared between the predicate-pushdown
+// planner (planner.h), the vectorized executor (exec.h) and the parallel
+// executor (parallel_exec.h). Members are public so the planner can
+// rewrite trees and the executors can dispatch on PlanKind without RTTI.
 
 #ifndef FF_STATSDB_PLAN_H_
 #define FF_STATSDB_PLAN_H_
@@ -31,7 +30,6 @@ class ScanNode : public PlanNode {
         index_column(std::move(index_column_in)),
         index_value(std::move(index_value_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kScan; }
 
@@ -46,7 +44,6 @@ class FilterNode : public PlanNode {
   FilterNode(PlanPtr input_in, ExprPtr predicate_in)
       : input(std::move(input_in)), predicate(std::move(predicate_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kFilter; }
 
@@ -59,7 +56,6 @@ class ProjectNode : public PlanNode {
   ProjectNode(PlanPtr input_in, std::vector<ProjectItem> items_in)
       : input(std::move(input_in)), items(std::move(items_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kProject; }
 
@@ -75,7 +71,6 @@ class AggregateNode : public PlanNode {
         group_by(std::move(group_by_in)),
         aggs(std::move(aggs_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kAggregate; }
 
@@ -92,7 +87,6 @@ class SortNode : public PlanNode {
         keys(std::move(keys_in)),
         limit_hint(limit_hint_in) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kSort; }
 
@@ -109,7 +103,6 @@ class LimitNode : public PlanNode {
   LimitNode(PlanPtr input_in, size_t limit_in, size_t offset_in)
       : input(std::move(input_in)), limit(limit_in), offset(offset_in) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kLimit; }
 
@@ -122,7 +115,6 @@ class DistinctNode : public PlanNode {
  public:
   explicit DistinctNode(PlanPtr input_in) : input(std::move(input_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kDistinct; }
 
@@ -138,7 +130,6 @@ class HashJoinNode : public PlanNode {
         left_col(std::move(left_col_in)),
         right_col(std::move(right_col_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kHashJoin; }
 
@@ -160,7 +151,6 @@ class MaterializedNode : public PlanNode {
         rows(std::move(rows_in)),
         batch_ends(std::move(batch_ends_in)) {}
 
-  util::StatusOr<ResultSet> Execute(const Database& db) const override;
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kMaterialized; }
 
@@ -175,8 +165,9 @@ class MaterializedNode : public PlanNode {
 
 // ------------------------------------------------------- shared helpers
 //
-// Both engines execute aggregation, join naming, and row hashing through
-// these, so their observable results are identical by construction.
+// The executors and the test-only row-at-a-time oracle execute
+// aggregation, join naming and row hashing through these, so their
+// observable results agree by construction.
 
 /// Accumulator for one aggregate within one group.
 struct AggState {

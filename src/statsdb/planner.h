@@ -11,7 +11,7 @@
 //    limit hint, so the executor keeps a bounded heap instead of sorting
 //    everything.
 //
-// Rewrites preserve the reference engine's observable results; analysis
+// Rewrites preserve the unoptimized plan's observable results; analysis
 // failures (unknown tables/columns, type errors) leave the affected
 // subtree untouched so the error surfaces at execution exactly as the
 // unoptimized plan would report it.

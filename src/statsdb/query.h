@@ -1,8 +1,6 @@
-// Logical query plans and a materializing executor, plus a fluent builder.
-//
-// The engine is deliberately scan-oriented: the paper observes the run
-// statistics database stays small (one tuple per run-day), so plans
-// materialize intermediate results instead of streaming.
+// Logical query plans, their materialized results, and a fluent builder.
+// Plans are data: the vectorized executor (exec.h) runs them, after the
+// planner pass (planner.h), as streams of column batches.
 
 #ifndef FF_STATSDB_QUERY_H_
 #define FF_STATSDB_QUERY_H_
@@ -85,14 +83,12 @@ enum class PlanKind {
   kMaterialized,
 };
 
-/// Base class of logical plan nodes. Execute is the row-at-a-time
-/// reference engine (materializes whole intermediates); production
+/// Base class of logical plan nodes. A node only describes itself;
 /// queries run through ExecutePlan (exec.h), which optimizes the plan and
-/// streams column batches.
+/// streams column batches through the vectorized executor.
 class PlanNode {
  public:
   virtual ~PlanNode() = default;
-  virtual util::StatusOr<ResultSet> Execute(const Database& db) const = 0;
   virtual std::string ToString() const = 0;
   virtual PlanKind kind() const = 0;
 };

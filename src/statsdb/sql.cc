@@ -997,10 +997,7 @@ util::StatusOr<ResultSet> ExecuteSql(Database* db,
       // and are discarded) and render the annotated operator tree with
       // its cache=hit|miss|bypass header annotation.
       obs::QueryProfile profile;
-      FF_RETURN_IF_ERROR(ExecuteOptimizedProfiled(optimized, *db,
-                                                  db->parallel_config(),
-                                                  &profile)
-                             .status());
+      FF_RETURN_IF_ERROR(ExecuteOptimized(optimized, *db, &profile).status());
       return PlanLinesResult(profile.RenderLines());
     }
     return ExecuteOptimized(optimized, *db);

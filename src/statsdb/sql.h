@@ -104,8 +104,8 @@ util::StatusOr<PreparedStatement> PrepareSql(Database* db,
 
 /// Parses a SELECT statement into its logical plan without executing it.
 /// Table/column binding happens at execution time, so no database is
-/// needed here. Used to run the same query through both the reference
-/// engine (PlanNode::Execute) and the vectorized one (exec.h).
+/// needed here. Tests and benchmarks use it to run the same query through
+/// the vectorized engine (exec.h) and the test-only row-at-a-time oracle.
 util::StatusOr<PlanPtr> PlanSql(const std::string& statement);
 
 }  // namespace statsdb

@@ -9,14 +9,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/serialize.h"
 #include "net/wire.h"
-#include "statsdb/batch.h"
-#include "statsdb/column_store.h"
 #include "statsdb/query.h"
 #include "statsdb/value.h"
 
@@ -24,9 +21,7 @@ namespace ff {
 namespace net {
 namespace {
 
-using statsdb::ColumnVector;
 using statsdb::DataType;
-using statsdb::Dictionary;
 using statsdb::ResultSet;
 using statsdb::Row;
 using statsdb::Schema;
@@ -364,67 +359,6 @@ TEST(Serialize, TrailingBytesAreRejected) {
   auto got = DecodeResultSet(&r);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-}
-
-// EncodeColumnVector's block-copy path: contiguous owned i64 storage
-// with a multi-word null bitmap ships via single memcpys and decodes
-// back to the same logical values.
-TEST(Serialize, ColumnVectorInt64BlockCopy) {
-  const size_t n = 70;
-  ColumnVector col;
-  col.type = DataType::kInt64;
-  col.length = n;
-  for (size_t i = 0; i < n; ++i) {
-    col.own_i64.push_back(static_cast<int64_t>(i * 3) - 7);
-  }
-  col.SetNull(0);
-  col.SetNull(63);
-  col.SetNull(64);
-  col.Seal();
-
-  WireWriter w;
-  EncodeColumnVector(col, n, &w);
-  WireReader r(w.buffer());
-  std::vector<Value> out;
-  auto st = DecodeColumn(&r, n, &out);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(out.size(), n);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(out[i], col.GetValue(i)) << "index " << i;
-  }
-}
-
-TEST(Serialize, ColumnVectorDictRemapsToFrameLocalDictionary) {
-  // The shared dictionary interns strings the column never uses; the
-  // frame must ship only the used subset, remapped, and still decode to
-  // the same strings.
-  auto dict = std::make_shared<Dictionary>();
-  dict->Intern("unused-a");
-  uint32_t f1 = dict->Intern("f1");
-  dict->Intern("unused-b");
-  uint32_t f9 = dict->Intern("f9");
-
-  const size_t n = 5;
-  ColumnVector col;
-  col.type = DataType::kString;
-  col.length = n;
-  col.own_codes = {f1, f9, f1, f1, f9};
-  col.own_dict = dict;
-  col.SetNull(2);
-  col.Seal();
-
-  WireWriter w;
-  EncodeColumnVector(col, n, &w);
-  WireReader r(w.buffer());
-  std::vector<Value> out;
-  ASSERT_TRUE(DecodeColumn(&r, n, &out).ok());
-  ASSERT_EQ(out.size(), n);
-  EXPECT_EQ(out[0], Value::String("f1"));
-  EXPECT_EQ(out[1], Value::String("f9"));
-  EXPECT_TRUE(out[2].is_null());
-  EXPECT_EQ(out[3], Value::String("f1"));
-  EXPECT_EQ(out[4], Value::String("f9"));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Property test: randomized SQL SELECTs run through three engines — the
 // vectorized engine (planner + exec.h, what production uses), the
-// retained row-at-a-time reference engine (PlanNode::Execute), and the
-// morsel-parallel executor (parallel_exec.h) at pool sizes 1, 4 and 16.
+// test-only row-at-a-time oracle (tests/oracle), and the morsel-parallel
+// executor (parallel_exec.h) at pool sizes 1, 4 and 16.
 //
 // Vectorized-vs-reference comparison is ordering-insensitive (rendered
 // rows are sorted) unless the query has an ORDER BY, in which case row
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle/row_engine.h"
 #include "parallel/thread_pool.h"
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
@@ -100,7 +101,7 @@ TEST_F(StatsDbPropertyTest, EnginesAgreeOnRandomQueries) {
     std::string sql = gen.Next(&ordered);
     auto plan = PlanSql(sql);
     ASSERT_TRUE(plan.ok()) << sql << "\n" << plan.status().ToString();
-    auto ref = (*plan)->Execute(db_);
+    auto ref = ExecuteRowOracle(**plan, db_);
     auto vec = ExecutePlan(*plan, db_);
     ASSERT_EQ(ref.ok(), vec.ok())
         << sql << "\nref: " << ref.status().ToString()
@@ -128,7 +129,7 @@ TEST_F(StatsDbPropertyTest, EnginesAgreeAfterMutations) {
     std::string sql = gen.Next(&ordered);
     auto plan = PlanSql(sql);
     ASSERT_TRUE(plan.ok()) << sql;
-    auto ref = (*plan)->Execute(db_);
+    auto ref = ExecuteRowOracle(**plan, db_);
     auto vec = ExecutePlan(*plan, db_);
     ASSERT_EQ(ref.ok(), vec.ok()) << sql;
     ASSERT_NO_FATAL_FAILURE(ExpectParallelByteIdentical(*plan, sql));

@@ -1,7 +1,8 @@
 // Vectorized-engine tests: every plan also runs through the row-at-a-time
-// reference (PlanNode::Execute) and results must match exactly, including
-// row order (scans, filters and projections preserve input order; pipeline
-// breakers emit first-seen / stable-sort order in both engines).
+// oracle (tests/oracle) and results must match exactly, including row
+// order (scans, filters and projections preserve input order; pipeline
+// breakers emit first-seen / stable-sort order in both engines) and, for
+// failing plans, the error message.
 
 #include "statsdb/exec.h"
 
@@ -12,9 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "oracle/row_engine.h"
+#include "parallel/thread_pool.h"
 #include "statsdb/batch.h"
 #include "statsdb/column_store.h"
 #include "statsdb/database.h"
+#include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
 #include "statsdb/planner.h"
 #include "statsdb/table.h"
@@ -54,21 +58,47 @@ class ColumnarTest : public ::testing::Test {
     ASSERT_TRUE(t->CreateIndex("forecast").ok());
   }
 
-  // Runs `plan` through reference and vectorized engines (the latter both
-  // raw and optimized) and requires identical rendered results.
+  // Like ExpectSameOutcome, for a plan that must succeed.
   void ExpectEngineAgreement(const PlanPtr& plan) {
-    auto ref = plan->Execute(db_);
-    auto vec = ExecuteColumnar(*plan, db_);
-    auto opt = ExecutePlan(plan, db_);
+    auto ref = ExecuteRowOracle(*plan, db_);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ASSERT_TRUE(opt.ok()) << opt.status().ToString();
-    EXPECT_EQ(ref->ToCsv(), vec->ToCsv());
-    EXPECT_EQ(ref->ToCsv(), opt->ToCsv());
+    ExpectSameOutcome(plan);
+  }
+
+  // Runs `plan` through the oracle, the vectorized engine (raw and
+  // optimized) and the parallel executor at 4 threads. Each must return
+  // the oracle's rows, or fail with the oracle's error message.
+  void ExpectSameOutcome(const PlanPtr& plan) {
+    auto ref = ExecuteRowOracle(*plan, db_);
+    ParallelConfig par;
+    par.max_threads = 4;
+    par.min_chunks = 2;
+    par.pool = &pool_;
+    const char* names[] = {"columnar", "optimized", "parallel"};
+    util::StatusOr<ResultSet> runs[] = {
+        ExecuteColumnar(*plan, db_), ExecutePlan(plan, db_),
+        ExecuteParallel(OptimizePlan(plan, db_), db_, par)};
+    for (size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE(names[i]);
+      const auto& got = runs[i];
+      ASSERT_EQ(ref.ok(), got.ok())
+          << "oracle: " << ref.status().ToString()
+          << "\nengine: " << got.status().ToString();
+      if (ref.ok()) {
+        EXPECT_EQ(ref->ToCsv(), got->ToCsv());
+      } else {
+        EXPECT_EQ(ref.status().message(), got.status().message());
+      }
+    }
   }
 
   Database db_;
+  parallel::ThreadPool pool_{4};
 };
+
+ExprPtr Mod(ExprPtr a, ExprPtr b) {
+  return Binary(BinaryOp::kMod, std::move(a), std::move(b));
+}
 
 TEST_F(ColumnarTest, ScanMatchesReference) {
   ExpectEngineAgreement(MakeScan("runs"));
@@ -227,7 +257,7 @@ TEST_F(ColumnarTest, HashJoinMatchesReference) {
 TEST_F(ColumnarTest, ErrorsMatchReference) {
   // Non-boolean WHERE predicate.
   PlanPtr bad = MakeFilter(MakeScan("runs"), Add(Col("day"), LitInt(1)));
-  auto ref = bad->Execute(db_);
+  auto ref = ExecuteRowOracle(*bad, db_);
   auto vec = ExecuteColumnar(*bad, db_);
   auto opt = ExecutePlan(bad, db_);
   ASSERT_FALSE(ref.ok());
@@ -244,11 +274,108 @@ TEST_F(ColumnarTest, DivisionByZeroSurfaces) {
   PlanPtr bad = MakeProject(MakeScan("runs"),
                             {{Div(LitInt(1), Sub(Col("day"), Col("day"))),
                               "boom"}});
-  auto ref = bad->Execute(db_);
+  auto ref = ExecuteRowOracle(*bad, db_);
   auto vec = ExecuteColumnar(*bad, db_);
   ASSERT_FALSE(ref.ok());
   ASSERT_FALSE(vec.ok());
   EXPECT_EQ(ref.status().message(), vec.status().message());
+}
+
+// Pipeline breakers emit exact Values; the expressions above them run
+// the same kernels as every other operator. Groups arrive in first-seen
+// order: till (1775 rows, days from 0), dev (1775, from 1), coos (8875,
+// from 2).
+TEST_F(ColumnarTest, ExpressionsOverAggregatesMatchTheOracle) {
+  PlanPtr agg = MakeAggregate(MakeScan("runs"), {"forecast"},
+                              {{AggFunc::kCountStar, nullptr, "n"},
+                               {AggFunc::kSum, Col("day"), "s"},
+                               {AggFunc::kMax, Col("walltime"), "hi"}});
+  ExpectSameOutcome(MakeProject(
+      MakeFilter(agg, Gt(Col("n"), LitInt(1775))),
+      {{Col("forecast"), ""},
+       {Mod(Col("s"), Sub(Col("n"), LitInt(1))), "r"},
+       {Div(Col("hi"), Col("n")), "x"}}));
+  // One projection whose two halves fail on different groups: the
+  // division fails on till (first), the modulo on coos (last).
+  ExpectSameOutcome(MakeProject(
+      agg, {{Add(Mod(Col("n"), Sub(Col("n"), LitInt(8875))),
+                 Div(Col("n"), Sub(Col("n"), LitInt(1775)))),
+             "m"}}));
+  // HAVING fails on coos, the projection above it on till: HAVING runs
+  // over every group first.
+  ExpectSameOutcome(MakeProject(
+      MakeFilter(agg, Gt(Mod(Col("s"), Sub(Col("n"), LitInt(8875))),
+                         LitInt(0))),
+      {{Div(Col("n"), Sub(Col("n"), LitInt(1775))), "m"}}));
+}
+
+TEST_F(ColumnarTest, MinMaxRuntimeTypesFeedArithmeticAboveTheAggregate) {
+  // lo is int64 and hi double; MIN(NULL) is declared string but every
+  // value is NULL, and MAX over the NULL walltimes is NULL.
+  auto agg = [](PlanPtr in) {
+    return MakeAggregate(std::move(in), {"forecast"},
+                         {{AggFunc::kMin, Col("day"), "lo"},
+                          {AggFunc::kMax, Col("walltime"), "hi"},
+                          {AggFunc::kMin, LitNull(), "none"}});
+  };
+  PlanPtr all = agg(MakeScan("runs"));
+  PlanPtr nulls = agg(MakeFilter(MakeScan("runs"), IsNull(Col("walltime"))));
+  for (const PlanPtr& in : {all, nulls}) {
+    ExpectSameOutcome(MakeProject(
+        in, {{Add(Col("lo"), Col("hi")), "sum"},
+             {Mul(Col("lo"), LitInt(2)), "twice"},
+             {Sub(Col("hi"), Col("lo")), "span"},
+             {IsNull(Col("none")), "none_null"},
+             {Eq(Col("none"), LitString("x")), "none_eq"}}));
+    // Division by lo fails on till; the modulo fails on coos.
+    ExpectSameOutcome(MakeProject(
+        in, {{Add(Mod(Col("lo"), Sub(Col("lo"), LitInt(2))),
+                  Div(Col("hi"), Col("lo"))),
+              "m"}}));
+  }
+  // Declared types still decide what type-checks.
+  ExpectSameOutcome(MakeProject(all, {{Add(Col("none"), LitInt(1)), "x"}}));
+}
+
+TEST_F(ColumnarTest, FilterAboveAJoinMatchesTheOracle) {
+  Schema nodes({{"forecast", DataType::kString},
+                {"prio", DataType::kInt64}});
+  Table* n = *db_.CreateTable("prios", nodes);
+  ASSERT_TRUE(n->Insert({Value::String("till"), Value::Int64(1)}).ok());
+  ASSERT_TRUE(n->Insert({Value::String("dev"), Value::Int64(2)}).ok());
+  PlanPtr join = MakeHashJoin(MakeScan("runs"), MakeScan("prios"),
+                              "forecast", "forecast");
+  // Cross-side conjuncts stay above the join.
+  PlanPtr kept = MakeFilter(join, Gt(Add(Col("prio"), Col("day")),
+                                     Mul(Col("prio"), LitInt(900))));
+  ASSERT_EQ(OptimizePlan(kept, db_)->kind(), PlanKind::kFilter);
+  ExpectSameOutcome(kept);
+  // The division fails on the first (till) row, the modulo on the
+  // second (dev).
+  ExpectSameOutcome(MakeFilter(
+      join, Gt(Add(Mod(Col("day"), Sub(Col("prio"), LitInt(2))),
+                   Div(Col("day"), Sub(Col("prio"), LitInt(1)))),
+               LitInt(0))));
+}
+
+TEST_F(ColumnarTest, ExpressionsOverDistinctAndSortedOutput) {
+  // d = day % 5; the modulo fails where d = 4, the division where d = 2.
+  PlanPtr pairs = MakeProject(
+      MakeScan("runs"),
+      {{Col("forecast"), ""}, {Mod(Col("day"), LitInt(5)), "d"}});
+  ExprPtr fails = Add(Mod(Col("d"), Sub(Col("d"), LitInt(4))),
+                      Div(Col("d"), Sub(Col("d"), LitInt(2))));
+  for (const PlanPtr& in :
+       {MakeDistinct(pairs), MakeSort(pairs, {{"d", true}}),
+        MakeLimit(MakeSort(pairs, {{"d", true}, {"forecast", false}}), 40,
+                  3000)}) {
+    ExpectSameOutcome(MakeProject(
+        in, {{Col("forecast"), ""},
+             {Mul(Col("d"), LitInt(2)), "d2"},
+             {Like(Col("forecast"), LitString("c%")), "c"}}));
+    ExpectSameOutcome(MakeFilter(in, Gt(Col("d"), LitInt(1))));
+    ExpectSameOutcome(MakeProject(in, {{fails, "m"}}));
+  }
 }
 
 TEST_F(ColumnarTest, UpdatedAndDeletedRowsVisible) {

@@ -180,11 +180,23 @@ TEST_F(ExplainTest, ProfiledExecutionIsByteIdenticalToPlain) {
     auto plan = PlanSql(kAllChunks);
     ASSERT_TRUE(plan.ok());
     obs::QueryProfile profile;
-    auto profiled = ExecutePlanProfiled(*plan, db_, &profile);
+    auto profiled = ExecutePlan(*plan, db_, &profile);
     ASSERT_TRUE(profiled.ok()) << profiled.status();
     EXPECT_EQ(profiled->ToCsv(), plain.ToCsv());
     ASSERT_NE(profile.root, nullptr);
     EXPECT_EQ(profile.engine, parallel ? "parallel" : "serial");
+    // The cache-free engine entry point fills the same profile.
+    obs::QueryProfile direct;
+    auto engine = ExecuteParallel(OptimizePlan(*plan, db_), db_,
+                                  db_.parallel_config(), &direct);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(engine->ToCsv(), plain.ToCsv());
+    ASSERT_NE(direct.root, nullptr);
+    EXPECT_EQ(direct.engine, profile.engine);
+    if (obs::kProfilingCompiledIn) {
+      EXPECT_GT(profile.total_ns, 0u);
+      EXPECT_GT(direct.total_ns, 0u);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "oracle/row_engine.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
 #include "statsdb/plan.h"
@@ -51,7 +52,7 @@ TEST_F(PlannerTest, FilterMergesIntoScan) {
 }
 
 TEST_F(PlannerTest, StackedFiltersKeepEvaluationOrder) {
-  // Inner (deeper) filter evaluates first in the reference engine, so it
+  // Inner (deeper) filter evaluates first in the row oracle, so it
   // must come first in the folded conjunction.
   PlanPtr plan = OptimizePlan(
       MakeFilter(MakeFilter(MakeScan("runs"), Gt(Col("day"), LitInt(1))),
@@ -210,9 +211,9 @@ TEST_F(PlannerTest, TopKAnnotation) {
   EXPECT_NE(plan->ToString().find("top=10"), std::string::npos);
 }
 
-TEST_F(PlannerTest, RowModeTopKMatchesFullSortPrefix) {
-  // The reference engine honours the top-k hint with a bounded heap; the
-  // result must be exactly the stable_sort prefix — same rows, same
+TEST_F(PlannerTest, TopKHintKeepsTheFullSortPrefix) {
+  // The executor honours the top-k hint with a bounded heap; the result
+  // must be exactly the oracle's stable_sort prefix — same rows, same
   // order, ties resolved by insertion order.
   Table* t = *db_.table("runs");
   for (int i = 0; i < 40; ++i) {
@@ -230,18 +231,13 @@ TEST_F(PlannerTest, RowModeTopKMatchesFullSortPrefix) {
                 .limit_hint,
             8u);
 
-  auto want = naive->Execute(db_);   // full sort, hint 0
-  auto got = optimized->Execute(db_);  // bounded heap
-  auto vec = ExecutePlan(optimized, db_);
+  auto want = ExecuteRowOracle(*naive, db_);  // full sort
+  auto vec = ExecuteColumnar(*optimized, db_);  // bounded heap
   ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
   ASSERT_TRUE(vec.ok());
-  ASSERT_EQ(got->rows.size(), want->rows.size());
   ASSERT_EQ(vec->rows.size(), want->rows.size());
   for (size_t r = 0; r < want->rows.size(); ++r) {
     for (size_t c = 0; c < want->rows[r].size(); ++c) {
-      EXPECT_EQ(got->rows[r][c].Compare(want->rows[r][c]), 0)
-          << "row " << r << " col " << c;
       EXPECT_EQ(vec->rows[r][c].Compare(want->rows[r][c]), 0)
           << "row " << r << " col " << c;
     }
@@ -273,11 +269,11 @@ TEST_F(PlannerTest, TopKDoesNotCrossDistinct) {
 
 TEST_F(PlannerTest, IllTypedFilterLeftIntact) {
   // A non-boolean predicate must not be dismantled: execution has to
-  // report the reference error.
+  // report the oracle's error.
   PlanPtr bad = MakeFilter(MakeScan("runs"), Add(Col("day"), LitInt(1)));
   PlanPtr plan = OptimizePlan(bad, db_);
   ASSERT_EQ(plan->kind(), PlanKind::kFilter);
-  auto ref = bad->Execute(db_);
+  auto ref = ExecuteRowOracle(*bad, db_);
   auto opt = ExecutePlan(bad, db_);
   ASSERT_FALSE(ref.ok());
   ASSERT_FALSE(opt.ok());
@@ -291,8 +287,8 @@ TEST_F(PlannerTest, UnknownTableDegradesGracefully) {
 }
 
 TEST_F(PlannerTest, OptimizedPlanStillExecutesOnReferenceEngine) {
-  // Annotations (index, top-k) are hints: the reference engine ignores
-  // them and must still produce correct results.
+  // Annotations (index, top-k) are hints: the row oracle ignores them
+  // and must still produce correct results.
   PlanPtr plan = OptimizePlan(
       MakeLimit(
           MakeSort(MakeFilter(MakeScan("runs"),
@@ -300,7 +296,7 @@ TEST_F(PlannerTest, OptimizedPlanStillExecutesOnReferenceEngine) {
                    {{"day", true}}),
           3, 0),
       db_);
-  auto rs = plan->Execute(db_);
+  auto rs = ExecuteRowOracle(*plan, db_);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 1u);
 }
