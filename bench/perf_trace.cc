@@ -17,20 +17,37 @@
 //
 // Each (workload, mode, n) point is the min of kReps runs; run-to-run
 // noise is estimated from the spread of the "off" reps, so "within noise"
-// is a statement the JSON itself supports. Output: labelled CSV on stdout
-// and BENCH_trace.json (path = argv[1] or ./BENCH_trace.json).
+// is a statement the JSON itself supports.
+//
+// Export section: the exporters' throughput (MB/s of output) on one
+// full-mode recording — replenish at the largest scale, plus one metric
+// sample per completed job (its sojourn time, at its end: the shape of
+// the factory's per-run walltime series). Chrome-trace JSON and the
+// metric-samples CSV are each timed against the test-only printf
+// reference (tests/oracle/chrome_trace_oracle.h) after one warm-up
+// call each, reps interleaved, min of kReps with the spread as a noise
+// percentage. Every call of both must produce the same bytes (same
+// Fingerprint64 and size), or the bench exits 1.
+//
+// Output: labelled CSV on stdout and BENCH_trace.json (path = argv[1]
+// or ./BENCH_trace.json).
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "cluster/ps_resource.h"
+#include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle/chrome_trace_oracle.h"
 #include "sim/simulator.h"
+#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace ff {
@@ -163,6 +180,101 @@ std::vector<Point> MeasureAllModes(const std::string& workload, int n,
   return pts;
 }
 
+// One exporter format, timed for the production exporter and for the
+// printf reference on the same recording.
+struct ExportPoint {
+  std::string format;
+  size_t bytes = 0;
+  uint64_t digest = 0;
+  bool stable = true;  // every rep of both exporters gave these bytes
+  bench::RepTiming fast;
+  bench::RepTiming ref;
+  double MbPerS(const bench::RepTiming& t) const {
+    return t.wall_ms > 0.0 ? static_cast<double>(bytes) / (t.wall_ms * 1e3)
+                           : 0.0;
+  }
+};
+
+// The full-mode recording the export section formats (see the header).
+void RecordForExport(int n, int budget, obs::TraceRecorder* trace,
+                     obs::MetricsRegistry* metrics) {
+  trace->ReserveSpans(static_cast<size_t>(n) + budget + 64);
+  {
+    obs::ScopedObservability scope(trace, metrics);
+    ReplenishOnce(n, budget);
+  }
+  const uint32_t series = metrics->series_id("job.sojourn_s");
+  for (const auto& s : trace->spans()) {
+    if (s.end >= 0.0) metrics->RecordById(s.end, series, s.end - s.start);
+  }
+}
+
+// A timed call of one exporter: wall ms of `format`, checking its bytes
+// against the first rep's (of either exporter).
+std::function<double()> TimedExport(ExportPoint* p,
+                                    std::function<std::string()> format) {
+  return [p, format] {
+    std::string out;
+    double ms = WallMs([&] { out = format(); });
+    const uint64_t digest = util::Fingerprint64(out);
+    if (p->bytes == 0) {
+      p->bytes = out.size();
+      p->digest = digest;
+    } else if (out.size() != p->bytes || digest != p->digest) {
+      p->stable = false;
+    }
+    return ms;
+  };
+}
+
+std::vector<ExportPoint> MeasureExport(const obs::TraceRecorder& trace,
+                                       const obs::MetricsRegistry& metrics) {
+  std::vector<ExportPoint> pts(2);
+  pts[0].format = "chrome_json";
+  pts[1].format = "metrics_csv";
+  auto csv = [&metrics] {
+    std::ostringstream out;
+    obs::WriteMetricSamplesCsv(metrics, &out);
+    return out.str();
+  };
+  std::vector<std::function<double()>> variants = {
+      TimedExport(&pts[0],
+                  [&] { return obs::ChromeTraceJson(trace, &metrics); }),
+      TimedExport(&pts[0],
+                  [&] { return obs::ChromeTraceJsonOracle(trace, &metrics); }),
+      TimedExport(&pts[1], csv),
+      TimedExport(&pts[1],
+                  [&] { return obs::MetricSamplesCsvOracle(metrics); }),
+  };
+  // Warm-up: the first multi-megabyte output of each exporter pays the
+  // page faults of fresh heap; a pipeline exporting every iteration
+  // does not.
+  for (const auto& v : variants) v();
+  std::vector<bench::RepTiming> t = bench::MeasureInterleaved(variants, kReps);
+  pts[0].fast = t[0];
+  pts[0].ref = t[1];
+  pts[1].fast = t[2];
+  pts[1].ref = t[3];
+  return pts;
+}
+
+std::string ExportJson(const ExportPoint& p) {
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "      {\"format\": \"%s\", \"bytes\": %zu, \"digest\": \"%016llx\", "
+      "\"stable\": %s, \"wall_ms\": %.3f, \"wall_ms_max\": %.3f, "
+      "\"mb_per_s\": %.1f, \"noise_pct\": %.2f, \"ref_wall_ms\": %.3f, "
+      "\"ref_wall_ms_max\": %.3f, \"ref_mb_per_s\": %.1f, "
+      "\"ref_noise_pct\": %.2f, \"speedup_vs_ref\": %.2f}",
+      p.format.c_str(), p.bytes, static_cast<unsigned long long>(p.digest),
+      p.stable ? "true" : "false", p.fast.wall_ms, p.fast.wall_ms_max,
+      p.MbPerS(p.fast), p.fast.noise_pct(), p.ref.wall_ms, p.ref.wall_ms_max,
+      p.MbPerS(p.ref), p.ref.noise_pct(),
+      p.fast.wall_ms > 0.0 ? p.ref.wall_ms / p.fast.wall_ms : 0.0);
+  return buf;
+}
+
 void AppendJson(std::string* out, const Point& p) {
   char buf[320];
   std::snprintf(
@@ -224,6 +336,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Export throughput on the largest full-mode recording.
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  RecordForExport(kScales.back(), kCompletions, &trace, &metrics);
+  std::vector<ExportPoint> exports = MeasureExport(trace, metrics);
+  bool exports_stable = true;
+  std::string export_rows;
+  std::printf("\nexport,bytes,wall_ms,mb_per_s,noise_pct,ref_wall_ms,"
+              "ref_mb_per_s,ref_noise_pct,speedup_vs_ref,stable\n");
+  for (const ExportPoint& p : exports) {
+    exports_stable = exports_stable && p.stable;
+    std::printf("%s,%zu,%.3f,%.1f,%.2f,%.3f,%.1f,%.2f,%.2f,%s\n",
+                p.format.c_str(), p.bytes, p.fast.wall_ms, p.MbPerS(p.fast),
+                p.fast.noise_pct(), p.ref.wall_ms, p.MbPerS(p.ref),
+                p.ref.noise_pct(), p.ref.wall_ms / p.fast.wall_ms,
+                p.stable ? "yes" : "NO");
+    if (!export_rows.empty()) export_rows += ",\n";
+    export_rows += ExportJson(p);
+  }
+
   std::FILE* f = std::fopen(json_path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", json_path);
@@ -232,17 +364,29 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n  \"bench\": \"perf_trace\",\n"
                "  \"tracing_compiled_in\": %s,\n"
+               "  \"hw\": %u,\n"
                "  \"reps\": %d,\n"
                "  \"baseline_noise_pct\": %.2f,\n"
                "  \"max_overhead_pct_full\": %.2f,\n"
                "  \"runtime\": %s,\n"
-               "  \"results\": [\n%s\n  ]\n}\n",
-               obs::kTracingCompiledIn ? "true" : "false", kReps, noise_pct,
+               "  \"results\": [\n%s\n  ],\n"
+               "  \"export\": {\n"
+               "    \"recording\": {\"workload\": \"replenish\", "
+               "\"n_jobs\": %d, \"spans\": %zu, \"samples\": %zu},\n"
+               "    \"results\": [\n%s\n    ]\n  }\n}\n",
+               obs::kTracingCompiledIn ? "true" : "false",
+               std::thread::hardware_concurrency(), kReps, noise_pct,
                max_overhead_full, bench::RuntimePoolJson(nullptr).c_str(),
-               json_rows.c_str());
+               json_rows.c_str(), kScales.back(), trace.spans().size(),
+               metrics.samples().size(), export_rows.c_str());
   std::fclose(f);
   std::printf("# wrote %s (max full-tracing overhead %.2f%%, "
               "baseline noise %.2f%%)\n",
               json_path, max_overhead_full, noise_pct);
+  if (!exports_stable) {
+    std::fprintf(stderr, "export output differs between reps or from the "
+                         "printf reference\n");
+    return 1;
+  }
   return 0;
 }

@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "statsdb/database.h"
 #include "statsdb/sql.h"
+#include "util/status.h"
 #include "workload/fleet.h"
 
 using namespace ff;
@@ -135,11 +136,12 @@ int main(int argc, char** argv) {
               trace.CountSpans(obs::SpanCategory::kPlan),
               trace.CountSpans(obs::SpanCategory::kSpc), trace.OpenSpans());
 
-  if (auto s = obs::WriteChromeTraceFile(prefix + ".json", trace, &metrics);
-      !s.ok()) {
-    return Fail(s);
-  }
   {
+    std::ofstream json(prefix + ".json");
+    json << obs::ChromeTraceJson(trace, &metrics);
+    if (!json.good()) {
+      return Fail(util::Status::Internal("cannot write " + prefix + ".json"));
+    }
     std::ofstream spans(prefix + "_spans.csv");
     obs::WriteSpansCsv(trace, &spans);
     std::ofstream samples(prefix + "_metrics.csv");

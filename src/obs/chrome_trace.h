@@ -7,9 +7,25 @@
 //
 // Output is byte-deterministic for a given recorder state: lanes are
 // numbered in first-use order, events are emitted in record order, and
-// every floating-point field is formatted with a fixed printf format —
-// a fixed-seed simulation therefore exports a byte-identical trace
-// (golden-tested in tests/obs/trace_test.cc).
+// every floating-point field has one fixed format — a fixed-seed
+// simulation therefore exports a byte-identical trace (golden-tested in
+// tests/obs/trace_test.cc). The formats, as printf in the "C" locale:
+//   - JSON "ts"/"dur": microseconds, "%.3f" of seconds * 1e6;
+//   - JSON span args and counter values: "%.6g";
+//   - CSV times (start_s, end_s, duration_s, time_s): "%.6f" of seconds;
+//   - CSV metric values: "%.9g";
+//   - integers (pid, tid, span_id, parent_id) in decimal.
+// Non-finite values print as printf prints them ("nan", "-nan", "inf",
+// "-inf"), and fixed output is never truncated, however large. The
+// exporters write numbers with std::to_chars(first, last, value, fmt,
+// precision), which [charconv] defines as printf with "%.<precision>f"
+// (chars_format::fixed) or "%.<precision>g" (chars_format::general) in
+// the "C" locale, so the bytes match the printf formats above exactly.
+// JSON strings escape '"', '\\', '\n', '\t' and '\r' by name and other
+// bytes below 0x20 as "\u00XX" (lowercase hex); all other bytes, UTF-8
+// included, pass through. CSV names and tracks are written unescaped.
+// A test-only printf reference (tests/oracle/chrome_trace_oracle.h)
+// checks all of this byte for byte.
 
 #ifndef FF_OBS_CHROME_TRACE_H_
 #define FF_OBS_CHROME_TRACE_H_
@@ -19,7 +35,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/status.h"
 
 namespace ff {
 namespace obs {
@@ -42,22 +57,15 @@ struct ChromeTraceOptions {
   int runtime_pid = 2;
 };
 
-/// Writes the Chrome trace_event JSON document. `metrics` may be null.
+/// The Chrome trace_event JSON document. `metrics` may be null.
 /// Virtual seconds map to trace microseconds (1 s = 1e6 us), so lanes are
-/// labelled in wall-ish units inside the viewer.
-void WriteChromeTrace(const TraceRecorder& trace,
-                      const MetricsRegistry* metrics, std::ostream* out,
-                      const ChromeTraceOptions& options = {});
-
+/// labelled in wall-ish units inside the viewer. Span args appear after
+/// the inline arg and the "removed" flag: numeric args first, then string
+/// args, each in record order; args on span 0 or on an id past the last
+/// span are not emitted.
 std::string ChromeTraceJson(const TraceRecorder& trace,
                             const MetricsRegistry* metrics = nullptr,
                             const ChromeTraceOptions& options = {});
-
-/// Writes the JSON to `path`; IO errors become util::Status.
-util::Status WriteChromeTraceFile(const std::string& path,
-                                  const TraceRecorder& trace,
-                                  const MetricsRegistry* metrics = nullptr,
-                                  const ChromeTraceOptions& options = {});
 
 /// CSV: span_id,parent_id,category,name,track,start_s,end_s,duration_s.
 /// Open spans export with end_s == start_s.

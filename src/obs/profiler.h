@@ -30,7 +30,7 @@ namespace obs {
 /// Renders a sweep's runtime profile as trace spans: one span per
 /// replica on its worker's lane ("w<idx>", "inline" for serial), span
 /// time = wall-clock seconds from the sweep start, with queue_wait_ms /
-/// wall_ms span args. Feed the result to WriteChromeTrace via
+/// wall_ms span args. Feed the result to ChromeTraceJson via
 /// ChromeTraceOptions::runtime_trace for the dual-process Perfetto view.
 void FillSweepRuntimeTrace(const SweepRuntimeProfile& profile,
                            TraceRecorder* trace);
