@@ -382,8 +382,8 @@ int main(int argc, char** argv) {
   // issue every parallel case from inside a pool task. The query's
   // morsel TaskGroups nest on the same workers (no second pool, no
   // oversubscription) and every replica must see the expected bytes.
-  // The db is read-only here and store() was warmed above, so the
-  // concurrent queries are data-race-free by construction.
+  // The db is read-only here and const table access mutates nothing,
+  // so the concurrent queries are data-race-free by construction.
   bool compose_ok = true;
   {
     const size_t kComposeReplicas = 8;

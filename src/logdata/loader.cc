@@ -134,10 +134,9 @@ util::Status UpsertRun(Table* table, const LogRecord& record) {
   for (size_t i : candidates) {
     Value day = store.GetValue(i, day_col);
     if (!day.is_null() && day.int64_value() == record.day) {
-      for (size_t c = 0; c < replacement.size(); ++c) {
-        FF_RETURN_IF_ERROR(table->UpdateCell(i, c, replacement[c]));
-      }
-      return util::Status::OK();
+      std::vector<size_t> cols(replacement.size());
+      for (size_t c = 0; c < cols.size(); ++c) cols[c] = c;
+      return table->UpdateCells({i}, cols, std::move(replacement));
     }
   }
   return table->Insert(std::move(replacement));

@@ -19,6 +19,7 @@
 #include "net/serialize.h"
 #include "obs/profiler.h"
 #include "statsdb/sql.h"
+#include "util/logging.h"
 
 namespace ff {
 namespace net {
@@ -49,30 +50,6 @@ void SetNoDelay(int fd) {
 }
 
 double Ms(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
-
-}  // namespace
-
-thread_local int Server::ReadGate::depth_ = 0;
-
-void Server::ReadGate::LockShared() {
-  if (depth_++ == 0) mu_.lock_shared();
-}
-
-void Server::ReadGate::UnlockShared() {
-  if (--depth_ == 0) mu_.unlock_shared();
-}
-
-namespace {
-
-/// RAII over the reentrant shared gate.
-class SharedLock {
- public:
-  explicit SharedLock(std::function<void()> unlock) : unlock_(std::move(unlock)) {}
-  ~SharedLock() { unlock_(); }
-
- private:
-  std::function<void()> unlock_;
-};
 
 }  // namespace
 
@@ -138,14 +115,6 @@ util::Status Server::Start() {
     db_.set_cache_config(cc);
   }
 
-  // Pre-warm every table's lazy scan state (zone maps, null-bitmap
-  // padding) before any concurrent reader can race the const-but-lazy
-  // branches. Repeated after every write, under the exclusive gate.
-  for (const std::string& name : db_.TableNames()) {
-    auto t = db_.table(name);
-    if (t.ok()) (void)(*t)->store();
-  }
-
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   int one = 1;
@@ -190,11 +159,6 @@ util::Status Server::Start() {
   FF_RETURN_IF_ERROR(SetNonBlocking(wake_read_fd_));
   FF_RETURN_IF_ERROR(SetNonBlocking(wake_write_fd_));
 
-  {
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    writer_stop_ = false;
-  }
-  writer_thread_ = std::thread([this] { WriterLoop(); });
   event_thread_ = std::thread([this] { EventLoop(); });
   running_.store(true, std::memory_order_release);
   return Status::OK();
@@ -206,17 +170,20 @@ void Server::Stop() {
   WakeEventThread();
   if (event_thread_.joinable()) event_thread_.join();
 
-  // Quiesce: session tasks spawn writer jobs and writer jobs spawn
-  // continuation tasks, but with the event thread gone nothing NEW
-  // enters the system — so "no task in flight anywhere and the writer
-  // idle" is a stable fixpoint, not a race window. The event thread's
-  // flushing duty moves here: parked response bytes still reach their
-  // clients (the no-torn-frames drain guarantee), bounded by the
-  // write-stall timeout and, for the whole backlog, drain_deadline_ms.
-  const int64_t drain_start = obs::RuntimeNowNs();
-  bool forced = false;
+  // Quiesce. With the event thread gone nothing new enters the pool, so
+  // "no task in flight, nothing queued or parked" is a stable fixpoint.
+  // The event thread's flushing duty moves here: parked response bytes
+  // still reach their clients (the no-torn-frames drain guarantee). The
+  // sessions are polled, not waited on, so drain_deadline_ms bounds the
+  // whole backlog: at the deadline every session turns fatal and its
+  // drain task stops at the next frame. A statement already executing
+  // still runs to completion — SQL is never aborted mid-flight.
+  const int64_t deadline_ns =
+      config_.drain_deadline_ms > 0
+          ? obs::RuntimeNowNs() +
+                static_cast<int64_t>(config_.drain_deadline_ms) * 1000000
+          : INT64_MAX;
   for (;;) {
-    pool_->Wait();
     bool busy = false;
     for (auto& [fd, s] : sessions_) {
       FlushOutbound(s);
@@ -224,33 +191,21 @@ void Server::Stop() {
       if (s->fatal) s->obuf.clear();
       busy |= s->task_in_flight || !s->pending.empty() || !s->obuf.empty();
     }
-    {
-      std::lock_guard<std::mutex> lk(writer_mu_);
-      busy |= !writer_jobs_.empty() || writer_busy_;
-    }
     if (!busy) break;
-    if (!forced && config_.drain_deadline_ms > 0 &&
-        obs::RuntimeNowNs() - drain_start >
-            static_cast<int64_t>(config_.drain_deadline_ms) * 1000000) {
-      // Deadline: drop queued-but-unstarted work and parked bytes.
-      // Tasks already executing a statement still run to completion —
-      // the only thing a deadline cannot do is abort SQL mid-flight.
-      forced = true;
+    if (obs::RuntimeNowNs() > deadline_ns) {
       counters_.drain_forced.fetch_add(1, std::memory_order_relaxed);
       for (auto& [fd, s] : sessions_) {
         std::lock_guard<std::mutex> lk(s->mu);
         s->fatal = true;
+        s->obuf.clear();
       }
+      break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-
-  {
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    writer_stop_ = true;
-  }
-  writer_cv_.notify_all();
-  if (writer_thread_.joinable()) writer_thread_.join();
+  // Waits out the frame a forced session's task is executing, and the
+  // tail every task runs after releasing its slot (reap, wakeup).
+  pool_->Wait();
 
   for (auto& [fd, s] : sessions_) {
     s->state->closed.store(true, std::memory_order_release);
@@ -273,45 +228,8 @@ util::Status Server::SubmitWrite(std::function<util::Status()> job) {
   if (!running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server not running");
   }
-  auto j = std::make_unique<WriterJob>();
-  j->fn = std::move(job);
-  std::future<Status> done = j->done.get_future();
-  {
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    writer_jobs_.push_back(std::move(j));
-  }
-  writer_cv_.notify_one();
-  return done.get();
-}
-
-void Server::WriterLoop() {
-  for (;;) {
-    std::unique_ptr<WriterJob> job;
-    {
-      std::unique_lock<std::mutex> lk(writer_mu_);
-      writer_cv_.wait(lk, [this] { return writer_stop_ || !writer_jobs_.empty(); });
-      if (writer_jobs_.empty() && writer_stop_) return;
-      job = std::move(writer_jobs_.front());
-      writer_jobs_.pop_front();
-      writer_busy_ = true;
-    }
-    Status st;
-    {
-      std::unique_lock<std::shared_mutex> exclusive(gate_.exclusive());
-      st = job->fn();
-      // Re-warm lazy scan state while still exclusive, so the read side
-      // never executes the const-but-mutating zone/bitmap refresh.
-      for (const std::string& name : db_.TableNames()) {
-        auto t = db_.table(name);
-        if (t.ok()) (void)(*t)->store();
-      }
-    }
-    job->done.set_value(std::move(st));
-    {
-      std::lock_guard<std::mutex> lk(writer_mu_);
-      writer_busy_ = false;
-    }
-  }
+  std::unique_lock<std::shared_mutex> lock(db_mu_);
+  return job();
 }
 
 void Server::EventLoop() {
@@ -517,6 +435,9 @@ void Server::PumpSession(const std::shared_ptr<Session>& s) {
 }
 
 void Server::ScheduleDrain(const std::shared_ptr<Session>& s) {
+  // Off the pool, so drain tasks arrive through the external queue that
+  // a worker waiting on its morsels never pops (file comment).
+  FF_DCHECK(pool_->caller_worker_index() == static_cast<size_t>(-1));
   bool submit = false;
   {
     std::lock_guard<std::mutex> lk(s->mu);
@@ -565,7 +486,7 @@ void Server::DrainSession(std::shared_ptr<Session> s) {
     }
 
     // Shed before classify/execute: an over-budget frame costs one
-    // error frame, never engine time (and never the writer queue).
+    // error frame, never engine time.
     if (frame.shed) {
       counters_.shed_frames.fetch_add(1, std::memory_order_relaxed);
       s->state->shed.fetch_add(1, std::memory_order_relaxed);
@@ -575,13 +496,6 @@ void Server::DrainSession(std::shared_ptr<Session> s) {
                         " frames queued)"));
       continue;
     }
-
-    // Mutating frames hand the session to the writer thread and RETURN
-    // with task_in_flight still true: blocking here on the writer would
-    // deadlock when this task was help-first-stolen by a worker already
-    // holding the shared gate (the writer would wait on that very
-    // holder). The writer sends the response and re-submits the drain.
-    if (HandOffIfWrite(s, frame)) return;
 
     HandleFrame(*s, frame);
   }
@@ -597,66 +511,6 @@ void Server::DrainSession(std::shared_ptr<Session> s) {
     reap_fds_.push_back(s->fd);
   }
   WakeEventThread();
-}
-
-bool Server::HandOffIfWrite(const std::shared_ptr<Session>& s,
-                            PendingFrame& frame) {
-  std::function<void()> job;
-  if (frame.opcode == Opcode::kQuery) {
-    WireReader r(frame.body);
-    auto flags = r.U8();
-    if (!flags.ok()) return false;  // malformed: read path answers it
-    std::string sql(r.Rest());
-    if (!IsWriteStatement(sql)) return false;
-    uint8_t fl = *flags;
-    // Parse here, on the pool: parsing reads no table, so the writer
-    // thread only executes. The statement's exec time counts both.
-    const int64_t parse0 = obs::RuntimeNowNs();
-    StatusOr<statsdb::WriteStatement> parsed = statsdb::ParseWrite(sql);
-    const int64_t parse_ns = obs::RuntimeNowNs() - parse0;
-    job = [this, s, parsed = std::move(parsed), parse_ns, fl] {
-      const int64_t t0 = obs::RuntimeNowNs() - parse_ns;
-      StatusOr<ResultSet> result =
-          parsed.ok() ? statsdb::ExecuteWrite(&db_, *parsed)
-                      : StatusOr<ResultSet>(parsed.status());
-      RecordExec(*s, t0);
-      if (result.ok()) {
-        SendResult(*s, *result, fl);
-      } else {
-        SendError(*s, result.status());
-      }
-    };
-  } else if (frame.opcode == Opcode::kRefreshStats) {
-    job = [this, s] {
-      const int64_t t0 = obs::RuntimeNowNs();
-      Status st = RefreshRuntimeTablesLocked();
-      RecordExec(*s, t0);
-      if (st.ok()) {
-        SendFrame(*s, Opcode::kStatsOk, "");
-      } else {
-        SendError(*s, st);
-      }
-    };
-  } else {
-    return false;
-  }
-
-  s->state->queries.fetch_add(1, std::memory_order_relaxed);
-  auto j = std::make_unique<WriterJob>();
-  // The job's Status goes nowhere (the response already went over the
-  // wire); fulfil the promise so the writer loop stays uniform.
-  j->fn = [this, s, job = std::move(job)]() {
-    job();
-    std::shared_ptr<Session> sp = s;
-    pool_->Submit([this, sp] { DrainSession(sp); });
-    return Status::OK();
-  };
-  {
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    writer_jobs_.push_back(std::move(j));
-  }
-  writer_cv_.notify_one();
-  return true;
 }
 
 void Server::RecordExec(Session& s, int64_t start_ns) {
@@ -676,6 +530,9 @@ void Server::HandleFrame(Session& s, PendingFrame& frame) {
       return;
     case Opcode::kExecute:
       HandleExecute(s, frame);
+      return;
+    case Opcode::kRefreshStats:
+      HandleRefreshStats(s);
       return;
     case Opcode::kCloseStmt: {
       WireReader r(frame.body);
@@ -711,7 +568,8 @@ void Server::HandleQuery(Session& s, const PendingFrame& frame) {
   }
   std::string sql(r.Rest());
   const int64_t t0 = obs::RuntimeNowNs();
-  StatusOr<ResultSet> result = RunRead(sql);
+  StatusOr<ResultSet> result =
+      IsWriteStatement(sql) ? RunWrite(sql) : RunRead(sql);
   RecordExec(s, t0);
   if (result.ok()) {
     SendResult(s, *result, *flags);
@@ -723,8 +581,7 @@ void Server::HandleQuery(Session& s, const PendingFrame& frame) {
 void Server::HandlePrepare(Session& s, const PendingFrame& frame) {
   std::string sql(frame.body);
   StatusOr<statsdb::PreparedStatement> ps = [&] {
-    gate_.LockShared();
-    SharedLock guard([this] { gate_.UnlockShared(); });
+    std::shared_lock<std::shared_mutex> lock(db_mu_);
     return db_.Prepare(sql);
   }();
   if (!ps.ok()) {
@@ -771,8 +628,7 @@ void Server::HandleExecute(Session& s, const PendingFrame& frame) {
   }
   const int64_t t0 = obs::RuntimeNowNs();
   StatusOr<ResultSet> result = [&] {
-    gate_.LockShared();
-    SharedLock guard([this] { gate_.UnlockShared(); });
+    std::shared_lock<std::shared_mutex> lock(db_mu_);
     return it->second.Execute(params);
   }();
   RecordExec(s, t0);
@@ -784,9 +640,30 @@ void Server::HandleExecute(Session& s, const PendingFrame& frame) {
 }
 
 util::StatusOr<statsdb::ResultSet> Server::RunRead(const std::string& sql) {
-  gate_.LockShared();
-  SharedLock guard([this] { gate_.UnlockShared(); });
+  std::shared_lock<std::shared_mutex> lock(db_mu_);
   return db_.Sql(sql);
+}
+
+util::StatusOr<statsdb::ResultSet> Server::RunWrite(const std::string& sql) {
+  // Parsing reads no table, so it runs before the lock.
+  FF_ASSIGN_OR_RETURN(statsdb::WriteStatement parsed, statsdb::ParseWrite(sql));
+  std::unique_lock<std::shared_mutex> lock(db_mu_);
+  return statsdb::ExecuteWrite(&db_, parsed);
+}
+
+void Server::HandleRefreshStats(Session& s) {
+  s.state->queries.fetch_add(1, std::memory_order_relaxed);
+  const int64_t t0 = obs::RuntimeNowNs();
+  Status st = [&] {
+    std::unique_lock<std::shared_mutex> lock(db_mu_);
+    return RefreshRuntimeTablesLocked();
+  }();
+  RecordExec(s, t0);
+  if (st.ok()) {
+    SendFrame(s, Opcode::kStatsOk, "");
+  } else {
+    SendError(s, st);
+  }
 }
 
 util::Status Server::RefreshRuntimeTables() {
@@ -959,10 +836,8 @@ util::Status Server::SendAll(Session& s, std::string_view data) {
         }
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          // The kernel buffer is full. The old path blocked here (up
-          // to 10 s) on a poll — stalling a pool worker, or worse the
-          // writer thread, on ONE slow reader. Now the remainder parks
-          // and this thread moves on.
+          // The kernel buffer is full: park the remainder and move on
+          // rather than stall a pool worker on ONE slow reader.
           result = ParkLocked(s, data.substr(off));
           parked = result.ok();
           break;

@@ -3,7 +3,7 @@
 //
 // Threading model
 // ---------------
-// Three kinds of threads cooperate:
+// Two kinds of threads cooperate:
 //
 //  * One EVENT thread runs a poll() loop over the listen socket, a
 //    self-pipe (wakeups), and every connected session. It accepts,
@@ -20,41 +20,26 @@
 //  * The POOL workers run session tasks. A task drains its session's
 //    queue: classify the statement, execute, serialize, send — the
 //    socket is written only here, whole responses in single send()
-//    batches. Read statements (SELECT/EXPLAIN, Prepare, Execute) run
-//    under the shared side of a reader/writer gate; morsel-parallel
-//    queries fan out on the SAME pool via TaskGroup (the documented
-//    nested-submission contract), so a session task helping another
-//    session's task is normal. The shared gate is therefore REENTRANT
-//    per thread (a depth counter): help-first stealing can nest a
-//    second shared acquisition on a thread already holding one, which
-//    with a plain shared_mutex could self-deadlock behind a waiting
-//    writer.
+//    batches. Reads (SELECT/EXPLAIN, Prepare, Execute) hold one
+//    std::shared_mutex shared; writes (CREATE/INSERT/UPDATE/DELETE,
+//    kRefreshStats) hold it exclusively, inline in the same task, which
+//    then sends the response and goes on to the next frame. SubmitWrite
+//    runs its job the same way on the caller's thread.
 //
-//  * One WRITER thread owns every mutation. Write statements
-//    (CREATE/INSERT/UPDATE/DELETE) and maintenance jobs (runtime-table
-//    refresh, cache reconfiguration) queue here; each job runs under
-//    the exclusive side of the gate, then re-warms every table's lazy
-//    scan state (Table::store(): zone maps + null-bitmap padding, the
-//    only state a const Table call mutates; row views are built from
-//    the columns per call) BEFORE releasing, so the concurrent read
-//    paths never hit the const-but-lazily-mutating branches. Writes
-//    never run on the pool: a pool task blocking exclusively while its
-//    worker "helps" another task that takes the shared side would
-//    deadlock. For the same reason a session task never BLOCKS on the
-//    writer either — it could be a help-first-stolen nested task on a
-//    thread that already holds the shared gate, and the writer would
-//    wait on that very holder.
-//    Instead a mutating frame is handed off: the drain task parses it
-//    (statsdb::ParseWrite reads no table, so it needs no gate) and
-//    returns with its in-flight slot still claimed, the writer executes
-//    the parsed statement, sends the response itself (no other thread
-//    can be writing that socket — the slot is claimed), and re-submits
-//    the drain task to continue the session in order.
+// Why one plain shared_mutex cannot deadlock: a statement takes the
+// mutex once, at the top, and a morsel-parallel query fans out on the
+// same pool through a TaskGroup. TaskGroup::Wait on a worker helps only
+// with worker-spawned tasks and never pops the external queue
+// (thread_pool.h, work isolation), and session tasks enter the pool
+// only through that queue (ScheduleDrain runs on the event thread). So
+// a worker holding the mutex, either side, only ever runs morsels while
+// it waits, and morsels take no lock: no thread acquires the mutex
+// twice, and every holder finishes without waiting on another.
 //
 // The Database itself is not thread-safe by contract; this file is the
-// single place that contract is widened, and the rules above are the
-// whole proof: readers share, the writer excludes, lazy mutations are
-// pre-warmed under exclusion, and the query cache / runtime histograms
+// single place that contract is widened: readers share, writers
+// exclude, const calls mutate no table (every mutator leaves zone maps
+// and null bitmaps current), and the query cache / runtime histograms
 // are internally synchronized by design.
 //
 // Malformed input (hardening contract, tested under ASan): a frame that
@@ -68,11 +53,9 @@
 #define FF_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -150,7 +133,8 @@ struct ServerCounters {
 
 /// Per-session counters, exported as one row of the `runtime_sessions`
 /// table (obs::LoadRuntimeSessions). Written by the session's task and
-/// the event thread, read by the writer thread — hence atomics.
+/// the event thread, read by whichever thread refreshes the runtime
+/// tables or calls SessionStats — hence atomics.
 struct SessionState {
   uint64_t id = 0;
   std::atomic<bool> closed{false};
@@ -206,7 +190,7 @@ class Server {
   /// threading contract above is only enforced for served traffic.
   statsdb::Database& db() { return db_; }
 
-  /// Binds, listens, spawns the event/writer/pool threads. IoError on
+  /// Binds, listens, spawns the event and pool threads. IoError on
   /// socket failures.
   util::Status Start();
   /// Graceful shutdown: stops accepting, drains in-flight session
@@ -217,13 +201,14 @@ class Server {
   /// Bound port (after Start); the configured one until then.
   uint16_t port() const { return port_; }
 
-  /// Runs `job` on the writer thread under the exclusive gate and waits
-  /// for it. The hatch benches/tests use to mutate engine state (cache
-  /// config, bulk loads) while the server is live.
+  /// Runs `job` on the calling thread with the database held
+  /// exclusively. The hatch benches/tests use to mutate engine state
+  /// (cache config, bulk loads) while the server is live. Call it from
+  /// outside the server's pool.
   util::Status SubmitWrite(std::function<util::Status()> job);
 
   /// Rebuilds the runtime_cache and runtime_sessions tables from
-  /// current stats (on the writer thread; also triggered over the wire
+  /// current stats (through SubmitWrite; also triggered over the wire
   /// by kRefreshStats).
   util::Status RefreshRuntimeTables();
 
@@ -258,9 +243,9 @@ class Server {
     // immediately. SendAll parks them here and the event thread
     // flushes on POLLOUT — no server thread ever blocks on a slow
     // reader. Guarded by mu, like the pending queue; the send side is
-    // serialized BY mu now (task / writer-thread sends and event-thread
-    // flushes interleave whole send() calls, and frame order is
-    // preserved because a send appends behind a non-empty obuf).
+    // serialized BY mu (task sends and event-thread flushes interleave
+    // whole send() calls, and frame order is preserved because a send
+    // appends behind a non-empty obuf).
     std::string obuf;
     int64_t last_progress_ns = 0;  // last time obuf bytes reached the fd
     int64_t last_activity_ns = 0;  // last read / completed drain
@@ -270,22 +255,7 @@ class Server {
     uint32_t next_stmt_id = 1;
   };
 
-  // Reentrant-shared reader/writer gate (see file comment).
-  class ReadGate {
-   public:
-    void LockShared();
-    void UnlockShared();
-    std::shared_mutex& exclusive() { return mu_; }
-
-   private:
-    std::shared_mutex mu_;
-    // One depth per OS thread: a process serves at most one Server's
-    // pool per thread at a time (worker threads belong to one pool).
-    static thread_local int depth_;
-  };
-
   void EventLoop();
-  void WriterLoop();
   void AcceptNew();
   /// Reads whatever the socket has, slices frames, schedules the task.
   void PumpSession(const std::shared_ptr<Session>& s);
@@ -298,14 +268,12 @@ class Server {
   void HandleExecute(Session& s, const PendingFrame& frame);
   void HandlePrepare(Session& s, const PendingFrame& frame);
 
-  /// Runs a read statement under the shared gate.
+  /// Runs a read statement with the database held shared.
   util::StatusOr<statsdb::ResultSet> RunRead(const std::string& sql);
-  /// If `frame` mutates (write statement / kRefreshStats), queues it to
-  /// the writer thread — which will respond and re-submit the drain —
-  /// and returns true; the drain task must then return WITHOUT
-  /// releasing its in-flight slot. See the file comment for why the
-  /// task must not block here.
-  bool HandOffIfWrite(const std::shared_ptr<Session>& s, PendingFrame& frame);
+  /// Parses a write statement, then runs it with the database held
+  /// exclusively.
+  util::StatusOr<statsdb::ResultSet> RunWrite(const std::string& sql);
+  void HandleRefreshStats(Session& s);
   util::Status RefreshRuntimeTablesLocked();
   void RecordExec(Session& s, int64_t start_ns);
   void RecordSerialize(Session& s, int64_t start_ns);
@@ -332,7 +300,8 @@ class Server {
   ServerConfig config_;
   statsdb::Database db_;
   std::unique_ptr<parallel::ThreadPool> pool_;
-  ReadGate gate_;
+  // Readers share, writers exclude (see the file comment).
+  std::shared_mutex db_mu_;
   RequestBreakdown breakdown_;
   ServerCounters counters_;
   /// Frames queued across ALL sessions — the admission-control level.
@@ -356,17 +325,6 @@ class Server {
   mutable std::mutex registry_mu_;
   std::vector<std::shared_ptr<SessionState>> registry_;
   uint64_t next_session_id_ = 1;
-
-  struct WriterJob {
-    std::function<util::Status()> fn;
-    std::promise<util::Status> done;
-  };
-  std::thread writer_thread_;
-  std::mutex writer_mu_;
-  std::condition_variable writer_cv_;
-  std::deque<std::unique_ptr<WriterJob>> writer_jobs_;
-  bool writer_stop_ = false;
-  bool writer_busy_ = false;  // a job is executing (Stop's quiesce check)
 };
 
 /// True when the first keyword of `sql` names a mutating statement

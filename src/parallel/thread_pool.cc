@@ -165,7 +165,13 @@ void ThreadPool::Submit(std::function<void()> fn) {
     if (global_.size() > global_peak_) global_peak_ = global_.size();
   }
   ++work_signal_;
-  work_cv_.notify_one();
+  // notify_one could pick a parked TaskGroup waiter, which may not take
+  // this task, and leave an idle worker asleep.
+  if (isolated_parked_ > 0) {
+    work_cv_.notify_all();
+  } else {
+    work_cv_.notify_one();
+  }
 }
 
 void ThreadPool::Wait() {
@@ -195,9 +201,9 @@ void ThreadPool::ParallelFor(size_t n,
   Wait();
 }
 
-std::function<void()>* ThreadPool::FindWork(size_t index) {
+std::function<void()>* ThreadPool::FindWork(size_t index, bool isolated) {
   if (auto* task = deques_[index]->PopBottom()) return task;
-  {
+  if (!isolated) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!global_.empty()) {
       auto* task = global_.front();
@@ -378,15 +384,16 @@ void TaskGroup::Wait() {
     done_cv_.wait(lock, done);
     return;
   }
-  // Worker of the owning pool: help-first. Run any findable pool task
-  // (our tasks, other groups', unrelated ones — all drain the pool and
-  // so make progress toward this group's completion) and only park when
-  // the whole pool has nothing runnable, using WorkerLoop's
-  // signal-snapshot pattern to close the missed-wake window against
-  // both new enqueues and the group-completion bump in Submit.
+  // Worker of the owning pool: help-first, isolated. Run worker-spawned
+  // tasks (ours, other groups' — all drain the pool and so make progress
+  // toward this group's completion) but never the external queue (see
+  // the contract on ThreadPool), and only park when no such task is
+  // runnable, using WorkerLoop's signal-snapshot pattern to close the
+  // missed-wake window against both new enqueues and the
+  // group-completion bump in Submit.
   for (;;) {
     if (done()) return sync_and_return();
-    if (auto* task = pool_->FindWork(idx)) {
+    if (auto* task = pool_->FindWork(idx, /*isolated=*/true)) {
       pool_->RunTask(task, idx);
       continue;
     }
@@ -396,11 +403,12 @@ void TaskGroup::Wait() {
       sig = pool_->work_signal_;
     }
     if (done()) return sync_and_return();
-    if (auto* task = pool_->FindWork(idx)) {
+    if (auto* task = pool_->FindWork(idx, /*isolated=*/true)) {
       pool_->RunTask(task, idx);
       continue;
     }
     std::unique_lock<std::mutex> lock(pool_->mu_);
+    ++pool_->isolated_parked_;
     if constexpr (obs::kProfilingCompiledIn) {
       // A helping worker parked here is idle from the pool's point of
       // view, same as a WorkerLoop park.
@@ -417,6 +425,7 @@ void TaskGroup::Wait() {
         return pool_->work_signal_ != sig || done();
       });
     }
+    --pool_->isolated_parked_;
   }
 }
 

@@ -96,13 +96,16 @@ class TaskDeque {
 /// unfinished task and deadlock. Code that runs *inside* a pool task and
 /// needs to fan out (a sweep replica issuing a morsel-parallel statsdb
 /// query, a query recursively parallelising a sub-plan) must use a
-/// TaskGroup instead. TaskGroup::Wait() on a worker thread never blocks
-/// while the pool has runnable tasks: it help-first executes work from
-/// its own deque, the global queue, and other workers' deques (stealing)
-/// until the group's outstanding count reaches zero, parking on the
-/// pool's work signal only when no work is findable anywhere. This makes
-/// arbitrarily nested ParallelFor-inside-a-pool-task safe: the waiting
-/// worker keeps the pool moving instead of occupying a thread slot.
+/// TaskGroup instead. TaskGroup::Wait() on a worker thread help-first
+/// executes work spawned inside the pool — its own deque, then steals
+/// from other workers' deques — until the group's outstanding count
+/// reaches zero, parking only when no such work is findable. It never
+/// pops the external submission queue ("work isolation", as TBB calls
+/// it): a task submitted from outside the pool never starts nested
+/// inside another task's wait, so a waiter holding a lock cannot pick up
+/// unrelated work that needs the same lock. A group waited on from a
+/// worker must therefore be fed from workers (nested Submit), which is
+/// what TaskGroup::ParallelFor on a worker does.
 class ThreadPool {
  public:
   struct Options {
@@ -157,8 +160,9 @@ class ThreadPool {
   friend class TaskGroup;
 
   void WorkerLoop(size_t index);
-  /// One scan for work: own deque, global queue, then every other deque.
-  std::function<void()>* FindWork(size_t index);
+  /// One scan for work: own deque, global queue (unless `isolated`),
+  /// then every other deque.
+  std::function<void()>* FindWork(size_t index, bool isolated = false);
   /// Runs and frees `task`, accounting it to worker `index` (SIZE_MAX
   /// for the rare external helper with no worker identity).
   void RunTask(std::function<void()>* task, size_t index);
@@ -180,6 +184,9 @@ class ThreadPool {
   std::condition_variable idle_cv_;      // Wait() parks here
   std::deque<std::function<void()>*> global_;  // bounded by max_queue
   uint64_t work_signal_ = 0;  // bumped on every enqueue (missed-wake guard)
+  // TaskGroup waiters parked on work_cv_. They may not take external
+  // work, so an external Submit wakes everyone while any is parked.
+  size_t isolated_parked_ = 0;
   size_t global_peak_ = 0;    // high-water mark of global_ (under mu_)
   bool stop_ = false;
 
@@ -215,9 +222,9 @@ class TaskGroup {
   void Submit(std::function<void()> fn);
 
   /// Blocks until every task submitted to this group has finished. From
-  /// a worker of the owning pool this runs other pool tasks (help-first:
-  /// own deque, global queue, steal) instead of blocking, so nested
-  /// waits cannot deadlock the pool.
+  /// a worker of the owning pool this runs other worker-spawned tasks
+  /// (help-first: own deque, then steal; never the external queue)
+  /// instead of blocking, so nested waits cannot deadlock the pool.
   void Wait();
 
   /// Runs fn(0..n-1) via this group and waits. Unlike

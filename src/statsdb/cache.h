@@ -19,7 +19,7 @@
 //    ResultSet, with the referenced tables' DATA epochs captured at
 //    store time. A lookup recomputes current epochs and serves the
 //    entry only on exact match, so any write to any referenced table
-//    (Insert, UpdateCell, DeleteRows, BulkAppender::EndRow) invalidates
+//    (Insert, UpdateCells, DeleteRows, BulkAppender::EndRow) invalidates
 //    implicitly — there is no invalidation hook to forget. The parallel
 //    config is deliberately NOT part of the key: the engines are
 //    byte-identical at any pool size (parallel_exec.h contract), so a

@@ -51,36 +51,30 @@ void ColumnStore::Reserve(size_t rows) {
   }
 }
 
-void ColumnStore::SetNullBit(ColumnData* c, size_t row) {
-  size_t word = row >> 6;
-  if (word >= c->null_words.size()) c->null_words.resize(word + 1, 0);
-  c->null_words[word] |= uint64_t{1} << (row & 63);
+namespace {
+
+// Bookkeeping for appending row `row` of `c`: extends the null bitmap,
+// which covers every row from append time on, and returns the zone map
+// of the row's chunk.
+ZoneMap& AppendSlot(ColumnStore::ColumnData* c, size_t row) {
+  if ((row >> 6) >= c->null_words.size()) c->null_words.push_back(0);
+  size_t chunk = row / kChunkRows;
+  if (chunk >= c->zones.size()) c->zones.resize(chunk + 1);
+  return c->zones[chunk];
+}
+
+void SetNullBit(ColumnStore::ColumnData* c, size_t row) {
+  c->null_words[row >> 6] |= uint64_t{1} << (row & 63);
   ++c->null_count;
 }
 
-void ColumnStore::AppendToZone(size_t col, const Value& v) {
-  ColumnData& c = cols_[col];
-  size_t chunk = num_rows_ / kChunkRows;
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ZoneMap& z = c.zones[chunk];
-  if (v.is_null()) {
-    ++z.null_count;
-    return;
-  }
-  if (z.min_v.is_null() || v.Compare(z.min_v) < 0) z.min_v = v;
-  if (z.max_v.is_null() || v.Compare(z.max_v) > 0) z.max_v = v;
-}
+}  // namespace
 
 void ColumnStore::AppendNull(size_t col) {
   ColumnData& c = cols_[col];
-  size_t row_index =
-      c.type == DataType::kBool
-          ? c.bools.size()
-          : c.type == DataType::kInt64
-                ? c.ints.size()
-                : c.type == DataType::kDouble ? c.doubles.size()
-                                              : c.codes.size();
-  SetNullBit(&c, row_index);
+  size_t row = c.size();
+  ++AppendSlot(&c, row).null_count;
+  SetNullBit(&c, row);
   switch (c.type) {
     case DataType::kBool:
       c.bools.push_back(0);
@@ -97,9 +91,6 @@ void ColumnStore::AppendNull(size_t col) {
     case DataType::kNull:
       break;
   }
-  size_t chunk = row_index / kChunkRows;
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ++c.zones[chunk].null_count;
 }
 
 void ColumnStore::AppendInt64(size_t col, int64_t v) {
@@ -109,10 +100,8 @@ void ColumnStore::AppendInt64(size_t col, int64_t v) {
     return;
   }
   FF_DCHECK(c.type == DataType::kInt64);
-  size_t chunk = c.ints.size() / kChunkRows;
+  ZoneMap& z = AppendSlot(&c, c.ints.size());
   c.ints.push_back(v);
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ZoneMap& z = c.zones[chunk];
   if (z.min_v.is_null() || v < z.min_v.int64_value()) {
     z.min_v = Value::Int64(v);
   }
@@ -124,10 +113,8 @@ void ColumnStore::AppendInt64(size_t col, int64_t v) {
 void ColumnStore::AppendDouble(size_t col, double v) {
   ColumnData& c = cols_[col];
   FF_DCHECK(c.type == DataType::kDouble);
-  size_t chunk = c.doubles.size() / kChunkRows;
+  ZoneMap& z = AppendSlot(&c, c.doubles.size());
   c.doubles.push_back(v);
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ZoneMap& z = c.zones[chunk];
   if (z.min_v.is_null() || v < z.min_v.double_value()) {
     z.min_v = Value::Double(v);
   }
@@ -139,10 +126,8 @@ void ColumnStore::AppendDouble(size_t col, double v) {
 void ColumnStore::AppendBool(size_t col, bool v) {
   ColumnData& c = cols_[col];
   FF_DCHECK(c.type == DataType::kBool);
-  size_t chunk = c.bools.size() / kChunkRows;
+  ZoneMap& z = AppendSlot(&c, c.bools.size());
   c.bools.push_back(v ? 1 : 0);
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ZoneMap& z = c.zones[chunk];
   Value vv = Value::Bool(v);
   if (z.min_v.is_null() || vv.Compare(z.min_v) < 0) z.min_v = vv;
   if (z.max_v.is_null() || vv.Compare(z.max_v) > 0) z.max_v = vv;
@@ -151,10 +136,8 @@ void ColumnStore::AppendBool(size_t col, bool v) {
 void ColumnStore::AppendString(size_t col, std::string_view v) {
   ColumnData& c = cols_[col];
   FF_DCHECK(c.type == DataType::kString);
-  size_t chunk = c.codes.size() / kChunkRows;
+  ZoneMap& z = AppendSlot(&c, c.codes.size());
   c.codes.push_back(c.dict.Intern(v));
-  if (chunk >= c.zones.size()) c.zones.resize(chunk + 1);
-  ZoneMap& z = c.zones[chunk];
   if (z.min_v.is_null() || v < z.min_v.string_value()) {
     z.min_v = Value::String(std::string(v));
   }
@@ -191,13 +174,7 @@ void ColumnStore::EndRow() {
   ++num_rows_;
 #ifndef NDEBUG
   for (const auto& c : cols_) {
-    size_t len = c.type == DataType::kBool
-                     ? c.bools.size()
-                     : c.type == DataType::kInt64
-                           ? c.ints.size()
-                           : c.type == DataType::kDouble ? c.doubles.size()
-                                                         : c.codes.size();
-    FF_DCHECK(len == num_rows_) << "ragged bulk append";
+    FF_DCHECK(c.size() == num_rows_) << "ragged bulk append";
   }
 #endif
 }
@@ -208,7 +185,7 @@ void ColumnStore::Append(const Row& row) {
   ++num_rows_;
 }
 
-void ColumnStore::Set(size_t row, size_t col, const Value& v) {
+void ColumnStore::SetCell(size_t row, size_t col, const Value& v) {
   ColumnData& c = cols_[col];
   bool was_null = c.IsNull(row);
   if (was_null && !v.is_null()) {
@@ -233,12 +210,29 @@ void ColumnStore::Set(size_t row, size_t col, const Value& v) {
     case DataType::kNull:
       break;
   }
-  size_t chunk = row / kChunkRows;
-  if (chunk < c.zones.size() && !c.zones[chunk].dirty) {
-    c.zones[chunk].dirty = true;
-    c.dirty_chunks.push_back(chunk);
+}
+
+void ColumnStore::Update(const std::vector<size_t>& rows,
+                         const std::vector<size_t>& cols,
+                         const std::vector<Value>& values) {
+  const size_t width = cols.size();
+  FF_DCHECK(values.size() == rows.size() * width);
+  std::vector<size_t> chunks;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t a = 0; a < width; ++a) {
+      SetCell(rows[r], cols[a], values[r * width + a]);
+    }
+    chunks.push_back(rows[r] / kChunkRows);
   }
-  zones_dirty_ = true;
+  std::sort(chunks.begin(), chunks.end());
+  chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+  for (size_t col : cols) {
+    ColumnData& c = cols_[col];
+    for (size_t chunk : chunks) {
+      size_t lo = chunk * kChunkRows;
+      c.zones[chunk] = ComputeZone(c, lo, std::min(lo + kChunkRows, num_rows_));
+    }
+  }
 }
 
 Value ColumnStore::GetValue(size_t row, size_t col) const {
@@ -353,31 +347,6 @@ ZoneMap ColumnStore::ComputeZone(const ColumnData& c, size_t lo,
     for (size_t r = lo; r < hi; ++r) z.null_count += c.IsNull(r) ? 1 : 0;
   }
   return z;
-}
-
-void ColumnStore::EnsureZones() const {
-  if (!zones_dirty_) return;
-  auto* self = const_cast<ColumnStore*>(this);
-  for (ColumnData& c : self->cols_) {
-    for (size_t chunk : c.dirty_chunks) {
-      size_t lo = chunk * kChunkRows;
-      size_t hi = std::min(lo + kChunkRows, num_rows_);
-      c.zones[chunk] = ComputeZone(c, lo, hi);
-    }
-    c.dirty_chunks.clear();
-  }
-  self->zones_dirty_ = false;
-}
-
-void ColumnStore::EnsureScanReady() const {
-  EnsureZones();
-  auto* self = const_cast<ColumnStore*>(this);
-  size_t words = (num_rows_ + 63) / 64;
-  for (auto& c : self->cols_) {
-    if (c.null_count > 0 && c.null_words.size() < words) {
-      c.null_words.resize(words, 0);
-    }
-  }
 }
 
 void ColumnStore::EraseRows(const std::vector<size_t>& rows) {

@@ -3,7 +3,8 @@
 // packed null bitmap. Logical chunks of kChunkRows rows carry zone maps
 // (min/max value, null count) that let scans skip chunks a predicate can
 // never match. This is Table's only storage; its row-view accessors
-// build rows from it on each call.
+// build rows from it on each call. Every mutator leaves zone maps and
+// null bitmaps current, so const access never changes the store.
 
 #ifndef FF_STATSDB_COLUMN_STORE_H_
 #define FF_STATSDB_COLUMN_STORE_H_
@@ -49,7 +50,6 @@ struct ZoneMap {
   Value min_v;
   Value max_v;
   size_t null_count = 0;
-  bool dirty = false;  // set by point updates; recomputed before scans
 };
 
 /// The typed column vectors of one table. Row order matches the logical
@@ -65,11 +65,25 @@ class ColumnStore {
     Dictionary dict;
     std::vector<uint64_t> null_words;  // packed bitmap, bit set => NULL
     std::vector<ZoneMap> zones;        // one per chunk
-    std::vector<size_t> dirty_chunks;  // chunks whose zone is dirty
     size_t null_count = 0;
 
+    /// Rows appended so far.
+    size_t size() const {
+      switch (type) {
+        case DataType::kBool:
+          return bools.size();
+        case DataType::kInt64:
+          return ints.size();
+        case DataType::kDouble:
+          return doubles.size();
+        default:
+          return codes.size();
+      }
+    }
+
     bool IsNull(size_t row) const {
-      // null_words grows on demand; rows past its end are non-null.
+      // The bitmap covers every appended row (a chunk view may slice it
+      // at any word offset); the bound only guards typeless columns.
       size_t w = row >> 6;
       return w < null_words.size() && ((null_words[w] >> (row & 63)) & 1);
     }
@@ -98,22 +112,14 @@ class ColumnStore {
   /// Commits the row appended cell-by-cell (FF_DCHECKs column lengths).
   void EndRow();
 
-  /// Point update; marks the containing chunk's zone maps dirty.
-  void Set(size_t row, size_t col, const Value& v);
+  /// Writes values[r * cols.size() + a] into cell (rows[r], cols[a]);
+  /// each value already has its column's storage type (or is NULL).
+  /// Recomputes the zone map of every touched chunk once per column.
+  void Update(const std::vector<size_t>& rows, const std::vector<size_t>& cols,
+              const std::vector<Value>& values);
 
   /// Value view of one cell (strings decoded through the dictionary).
   Value GetValue(size_t row, size_t col) const;
-
-  /// Recomputes any zone maps invalidated by Set().
-  void EnsureZones() const;
-  /// Prepares the store for zero-copy scans: refreshes zone maps and pads
-  /// each nullable column's bitmap to cover every row, so chunk views may
-  /// slice `null_words` at any word offset.
-  void EnsureScanReady() const;
-  /// Zone map for (chunk, col); caller must EnsureZones() first.
-  const ZoneMap& zone(size_t chunk, size_t col) const {
-    return cols_[col].zones[chunk];
-  }
 
   /// Removes `rows` (ascending, distinct, each < num_rows()), keeping
   /// the others in order. Columns, zone maps and dictionaries are
@@ -123,15 +129,13 @@ class ColumnStore {
   void Reserve(size_t rows);
 
  private:
-  void AppendToZone(size_t col, const Value& v);
-  void SetNullBit(ColumnData* c, size_t row);
+  void SetCell(size_t row, size_t col, const Value& v);
   /// The zone map of rows [lo, hi) of `c`, from its typed cells.
   ZoneMap ComputeZone(const ColumnData& c, size_t lo, size_t hi) const;
 
   const Schema* schema_;  // owned by the Table
   std::vector<ColumnData> cols_;
   size_t num_rows_ = 0;
-  mutable bool zones_dirty_ = false;
 };
 
 }  // namespace statsdb

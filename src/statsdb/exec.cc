@@ -754,7 +754,7 @@ util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
                                       const Database& db) {
   ScanSetup s;
   FF_ASSIGN_OR_RETURN(s.table, db.table(node.table));
-  s.store = &s.table->store();  // zone maps current, bitmaps padded
+  s.store = &s.table->store();
   if (node.predicate != nullptr) {
     FF_RETURN_IF_ERROR(CheckBoolPredicate(node.predicate, s.table->schema()));
     SplitConjuncts(node.predicate, &s.conjuncts);

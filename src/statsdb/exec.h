@@ -49,10 +49,9 @@ util::StatusOr<std::unique_ptr<BatchIterator>> BuildIterator(
 
 /// Coordinator-side scan preparation, shared across morsels by the
 /// parallel executor (parallel_exec.h). Building one performs all the
-/// lazily-mutating and allocation-heavy work a scan needs — table
-/// lookup, zone-map refresh (table->store()), predicate analysis, the
-/// hash-index Lookup — exactly once; afterwards the setup is immutable
-/// and safe to read from any number of threads.
+/// allocation-heavy work a scan needs — table lookup, predicate
+/// analysis, the hash-index Lookup — exactly once; afterwards the setup
+/// is immutable and safe to read from any number of threads.
 struct ScanSetup {
   const Table* table = nullptr;
   const ColumnStore* store = nullptr;

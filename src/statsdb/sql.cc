@@ -1066,12 +1066,7 @@ util::StatusOr<ResultSet> ExecuteWrite(Database* db,
         FF_ASSIGN_OR_RETURN(v, t->CoerceCell(target_cols[a], std::move(v)));
       }
     }
-    for (size_t r = 0; r < ids.size(); ++r) {
-      for (size_t a = 0; a < width; ++a) {
-        FF_RETURN_IF_ERROR(t->UpdateCell(ids[r], target_cols[a],
-                                         std::move(values[r * width + a])));
-      }
-    }
+    FF_RETURN_IF_ERROR(t->UpdateCells(ids, target_cols, std::move(values)));
     ResultSet rs;
     rs.schema = Schema({Column{"rows_updated", DataType::kInt64}});
     rs.rows.push_back(Row{Value::Int64(static_cast<int64_t>(ids.size()))});

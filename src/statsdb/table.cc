@@ -46,11 +46,6 @@ std::vector<Row> Table::rows() const {
   return out;
 }
 
-const ColumnStore& Table::store() const {
-  store_.EnsureScanReady();
-  return store_;
-}
-
 util::Status Table::Insert(Row row) {
   FF_RETURN_IF_ERROR(ValidateRow(schema_, row).WithContext(name_));
   // Widen int64 values stored into double columns so the storage type is
@@ -84,27 +79,51 @@ util::StatusOr<Value> Table::CoerceCell(size_t col_index, Value v) const {
   return v;
 }
 
-util::Status Table::UpdateCell(size_t row_index, size_t col_index, Value v) {
-  if (row_index >= store_.num_rows()) {
-    return util::Status::OutOfRange("row index " + std::to_string(row_index));
+util::Status Table::UpdateCells(const std::vector<size_t>& rows,
+                                const std::vector<size_t>& cols,
+                                std::vector<Value> values) {
+  FF_CHECK(values.size() == rows.size() * cols.size());
+  if (values.empty()) return util::Status::OK();
+  for (size_t row : rows) {
+    if (row >= store_.num_rows()) {
+      return util::Status::OutOfRange("row index " + std::to_string(row));
+    }
   }
-  if (col_index >= schema_.num_columns()) {
-    return util::Status::OutOfRange("column index " +
-                                    std::to_string(col_index));
+  for (size_t col : cols) {
+    if (col >= schema_.num_columns()) {
+      return util::Status::OutOfRange("column index " + std::to_string(col));
+    }
   }
-  FF_ASSIGN_OR_RETURN(v, CoerceCell(col_index, std::move(v)));
-  auto idx_it = indexes_.find(col_index);
-  if (idx_it != indexes_.end()) {
-    auto& index = idx_it->second;
-    auto& old_bucket = index[store_.GetValue(row_index, col_index)];
-    old_bucket.erase(
-        std::remove(old_bucket.begin(), old_bucket.end(), row_index),
-        old_bucket.end());
-    index[v].push_back(row_index);
+  for (size_t i = 0; i < values.size(); ++i) {
+    FF_ASSIGN_OR_RETURN(values[i],
+                        CoerceCell(cols[i % cols.size()], std::move(values[i])));
   }
-  store_.Set(row_index, col_index, v);
+  // Indexed target columns, each once (a statement may assign a column
+  // twice; the last assignment wins).
+  std::map<size_t, HashIndex*> touched;
+  for (size_t col : cols) {
+    auto it = indexes_.find(col);
+    if (it != indexes_.end()) touched.emplace(col, &it->second);
+  }
+  for (auto& [col, index] : touched) {
+    for (size_t row : rows) {
+      auto& bucket = (*index)[store_.GetValue(row, col)];
+      bucket.erase(std::remove(bucket.begin(), bucket.end(), row),
+                   bucket.end());
+    }
+  }
+  store_.Update(rows, cols, values);
+  for (auto& [col, index] : touched) {
+    for (size_t row : rows) (*index)[store_.GetValue(row, col)].push_back(row);
+  }
   BumpEpoch();
   return util::Status::OK();
+}
+
+util::Status Table::UpdateCell(size_t row_index, size_t col_index, Value v) {
+  std::vector<Value> values;
+  values.push_back(std::move(v));
+  return UpdateCells({row_index}, {col_index}, std::move(values));
 }
 
 util::Status Table::DeleteRows(std::vector<size_t> row_indices) {

@@ -30,7 +30,7 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return store_.num_rows(); }
 
-  /// Data epoch: advances on every mutation (Insert, UpdateCell,
+  /// Data epoch: advances on every mutation (Insert, UpdateCells,
   /// DeleteRows, each BulkAppender::EndRow). Values are drawn from one
   /// process-wide monotonic counter, so an epoch is never reused — even
   /// across dropping and recreating a table of the same name — which is
@@ -48,23 +48,27 @@ class Table {
   std::vector<Row> rows() const;
   Row row(size_t i) const;
 
-  /// The columnar storage (zone maps guaranteed current on return). The
-  /// one lazily-mutating const call: it recomputes zone maps dirtied by
-  /// UpdateCell and pads null bitmaps (ColumnStore::EnsureScanReady).
-  const ColumnStore& store() const;
+  /// The columnar storage; zone maps and null bitmaps are always
+  /// current.
+  const ColumnStore& store() const { return store_; }
 
   /// Validates, widens int64 into double columns, appends, maintains
   /// indexes.
   util::Status Insert(Row row);
 
   /// `v` as column `col_index` stores it: int64 widened into a double
-  /// column; InvalidArgument when the type does not fit. UpdateCell
-  /// applies this check, so a caller that runs it first on every cell
-  /// of a statement knows none of its writes can fail.
+  /// column; InvalidArgument when the type does not fit.
   util::StatusOr<Value> CoerceCell(size_t col_index, Value v) const;
 
-  /// Updates one cell in place (used to patch completion stats of
-  /// previously in-flight runs). Maintains indexes.
+  /// Writes values[r * cols.size() + a] into cell (rows[r], cols[a])
+  /// for distinct `rows`: UPDATE's set-oriented write. Every index and
+  /// value is checked (OutOfRange, CoerceCell) before the first write,
+  /// so a failing call changes nothing. Maintains indexes and
+  /// recomputes each touched chunk's zone maps once.
+  util::Status UpdateCells(const std::vector<size_t>& rows,
+                           const std::vector<size_t>& cols,
+                           std::vector<Value> values);
+  /// One-cell UpdateCells.
   util::Status UpdateCell(size_t row_index, size_t col_index, Value v);
 
   /// Deletes the given rows (indices into rows(), any order, duplicates

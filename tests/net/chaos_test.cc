@@ -564,6 +564,57 @@ TEST(ServerShutdown, DrainDeadlineBoundsStopAgainstAWedgedReader) {
   close(fd);
 }
 
+// A backlog whose execution alone far outlasts the deadline (the
+// responses are small, so nothing parks): Stop() must cut the queue
+// short at the deadline instead of first running every queued frame.
+TEST(ServerShutdown, DrainDeadlineCutsAnExecutingBacklogShort) {
+  ServerConfig cfg;
+  cfg.pool_threads = 2;
+  cfg.drain_deadline_ms = 100;
+  cfg.port = 0;
+  Server server(cfg);
+  {
+    Schema runs({{"forecast", DataType::kString},
+                 {"day", DataType::kInt64},
+                 {"walltime", DataType::kDouble}});
+    statsdb::Table* t = *server.db().CreateTable("runs", runs);
+    statsdb::Table::BulkAppender app(t);
+    for (int i = 0; i < 20000; ++i) {
+      app.String("till").Int64(i % 30).Double(1.0 * i);
+      ASSERT_TRUE(app.EndRow().ok());
+    }
+    ASSERT_TRUE(app.Finish().ok());
+  }
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  // Each frame groups 20k distinct keys (tens of ms in Release); distinct
+  // SQL defeats the cache. Running the whole backlog takes many seconds.
+  constexpr int kFrames = 400;
+  std::string burst;
+  for (int i = 0; i < kFrames; ++i) {
+    WireWriter w;
+    w.U8(0);
+    const std::string sql =
+        "SELECT walltime, COUNT(*) AS n FROM runs WHERE day <> " +
+        std::to_string(i) + " GROUP BY walltime ORDER BY n DESC LIMIT 1";
+    w.Raw(sql.data(), sql.size());
+    burst += EncodeFrame(Opcode::kQuery, w.buffer());
+  }
+  ASSERT_TRUE(client->SendRaw(burst).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.Stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(stop_ms, 5000.0) << "drain deadline must bound Stop()";
+  EXPECT_GE(server.counters().drain_forced.load(), 1u);
+  uint64_t executed = 0;
+  for (const SessionSnapshot& s : server.SessionStats()) executed += s.queries;
+  EXPECT_LT(executed, static_cast<uint64_t>(kFrames));
+}
+
 // ---------------------------------------------------------------------
 // End-to-end chaos against a live server
 // ---------------------------------------------------------------------

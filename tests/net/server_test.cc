@@ -19,6 +19,7 @@
 #include "net/wire.h"
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
+#include "statsdb/parallel_exec.h"
 #include "statsdb/table.h"
 #include "util/status.h"
 
@@ -393,6 +394,98 @@ TEST(ServerConcurrency, ParallelReadersWithInterleavedWrites) {
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->ToCsv(), "n\n" + std::to_string(300 + kWrites) + "\n");
   server->Stop();
+}
+
+std::string QueryFrame(const std::string& sql) {
+  WireWriter w;
+  w.U8(0);
+  w.Raw(sql.data(), sql.size());
+  return EncodeFrame(Opcode::kQuery, w.buffer());
+}
+
+// The deadlock lane. Writes run inline on the pool under the exclusive
+// lock while other sessions' morsel-parallel SELECTs hold the shared
+// side, so several sessions pipeline INSERT/UPDATE frames right behind
+// such SELECTs. Every response must arrive, and the final count must be
+// exact. A lock-order or work-isolation regression hangs here.
+void PipelineWritesBehindParallelReads(size_t pool_threads) {
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.pool_threads = pool_threads;
+  Server server(cfg);
+  constexpr int kRows = 8 * 4096;  // eight chunks: scans fan out
+  {
+    Schema runs({{"forecast", DataType::kString},
+                 {"day", DataType::kInt64},
+                 {"walltime", DataType::kDouble}});
+    statsdb::Table* t = *server.db().CreateTable("runs", runs);
+    statsdb::Table::BulkAppender app(t);
+    const char* forecasts[] = {"till", "dev", "coos"};
+    for (int i = 0; i < kRows; ++i) {
+      app.String(forecasts[i % 3]).Int64(i % 30).Double(1.0 * i);
+      ASSERT_TRUE(app.EndRow().ok());
+    }
+    ASSERT_TRUE(app.Finish().ok());
+  }
+  statsdb::ParallelConfig pc = server.db().parallel_config();
+  pc.min_chunks = 1;
+  server.db().set_parallel_config(pc);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kSessions = 3;
+  constexpr int kRounds = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) {
+    threads.emplace_back([&, t] {
+      auto c = Client::Connect("127.0.0.1", server.port());
+      if (!c.ok()) {
+        ++failures;
+        return;
+      }
+      for (int r = 0; r < kRounds; ++r) {
+        // Distinct SQL per frame: cache misses keep the reads on the
+        // morsel-parallel engine.
+        const std::string k = std::to_string(t * kRounds + r);
+        std::string burst =
+            QueryFrame("SELECT forecast, COUNT(*) AS n, SUM(walltime) AS s "
+                       "FROM runs WHERE day <> " + k +
+                       " GROUP BY forecast ORDER BY forecast") +
+            QueryFrame("INSERT INTO runs VALUES ('dev', " + k + ", -1.0)") +
+            QueryFrame("SELECT COUNT(*) AS n FROM runs WHERE walltime > " +
+                       k) +
+            QueryFrame("UPDATE runs SET walltime = walltime + 1 "
+                       "WHERE day = " + std::to_string(r % 30)) +
+            QueryFrame("SELECT MAX(walltime) AS m FROM runs WHERE day = " +
+                       k);
+        if (!c->SendRaw(burst).ok()) {
+          ++failures;
+          return;
+        }
+        for (int i = 0; i < 5; ++i) {
+          auto rs = c->ReadResult();
+          if (!rs.ok() || rs->rows.empty()) ++failures;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  Client c = ConnectTo(server);
+  auto rs = c.Query("SELECT COUNT(*) AS n FROM runs");
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->ToCsv(),
+            "n\n" + std::to_string(kRows + kSessions * kRounds) + "\n");
+  server.Stop();
+}
+
+TEST(ServerConcurrency, PipelinedWritesBehindParallelReadsAtPool1) {
+  PipelineWritesBehindParallelReads(1);
+}
+
+TEST(ServerConcurrency, PipelinedWritesBehindParallelReadsAtPool2) {
+  PipelineWritesBehindParallelReads(2);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -271,6 +272,84 @@ TEST(TaskGroupTest, NestedParallelForInsideAPoolTask) {
     EXPECT_EQ(inner_sum.load(), 4 * (16 * 17 / 2)) << "round " << round;
   }
   pool.Wait();
+}
+
+// Work isolation: a worker waiting on its TaskGroup helps only with work
+// spawned inside the pool (its own deque, steals). A task that arrives
+// through the external submission queue meanwhile is left for a free
+// worker. The served statsdb relies on this: a worker holding a
+// session's read lock never starts another session's frame.
+TEST(TaskGroupTest, WaitOnAWorkerNeverStartsAnExternallySubmittedTask) {
+  ThreadPool pool(2);
+  std::atomic<bool> morsel_started{false}, waiting{false};
+  std::atomic<bool> external_ran{false}, ran_inside_wait{false};
+  std::atomic<std::thread::id> waiter{};
+  pool.Submit([&] {
+    TaskGroup group(&pool);
+    // Lands on this worker's deque; the idle worker steals it and keeps
+    // the group open until the external task has run (or a grace period
+    // passed), so this worker's Wait finds nothing of its own to do.
+    group.Submit([&] {
+      morsel_started = true;
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+      while (!external_ran && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (!morsel_started) std::this_thread::yield();
+    waiter = std::this_thread::get_id();
+    waiting = true;
+    group.Wait();
+    waiting = false;
+  });
+  while (!waiting) std::this_thread::yield();
+  pool.Submit([&] {
+    if (waiting && std::this_thread::get_id() == waiter.load()) {
+      ran_inside_wait = true;
+    }
+    external_ran = true;
+  });
+  pool.Wait();
+  EXPECT_TRUE(external_ran.load());
+  EXPECT_FALSE(ran_inside_wait.load())
+      << "a TaskGroup wait on a worker started an external task";
+}
+
+// The other half of isolation: a helper that may not take external work
+// must not swallow the wakeup meant for an idle worker that can.
+TEST(TaskGroupTest, ExternalTaskWakesAnIdleWorkerWhileAnotherHelps) {
+  ThreadPool pool(3);
+  std::atomic<bool> morsel_started{false}, waiting{false};
+  std::atomic<bool> external_ran{false};
+  pool.Submit([&] {
+    TaskGroup group(&pool);
+    group.Submit([&] {
+      morsel_started = true;
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!external_ran && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (!morsel_started) std::this_thread::yield();
+    waiting = true;
+    group.Wait();
+  });
+  while (!waiting) std::this_thread::yield();
+  // Let the helper park before the external task arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.Submit([&] { external_ran = true; });
+  while (!external_ran && std::chrono::steady_clock::now() - t0 <
+                              std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  pool.Wait();
+  EXPECT_LT(ms, 5000.0) << "the idle worker was never woken";
 }
 
 TEST(TaskGroupTest, DestructorWaitsAndGroupsAreReusableSequentially) {

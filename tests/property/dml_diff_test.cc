@@ -75,6 +75,12 @@ Parsed ParseExprs(const std::string& table,
 }
 
 /// The row-at-a-time UPDATE loop UPDATE ran before it was set-oriented.
+/// Its cell writes are applied together when the loop ends or fails —
+/// on failure exactly the cells the loop had written by then (earlier
+/// rows, and the failing row's cells before the failing one), as a
+/// failing statement used to leave them. Deferring is sound because a
+/// row's assignments and WHERE read only that row; it spares the
+/// per-cell zone recompute a write would otherwise pay.
 util::StatusOr<int64_t> OracleUpdate(
     Table* t, const std::vector<std::pair<std::string, ExprPtr>>& assignments,
     const ExprPtr& where) {
@@ -84,24 +90,39 @@ util::StatusOr<int64_t> OracleUpdate(
     FF_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
     target_cols.push_back(idx);
   }
-  int64_t updated = 0;
+  std::vector<size_t> rows;
+  std::vector<Value> written;  // row-major: rows.size() x target_cols
+  auto fail = [&](const util::Status& st, size_t row, std::vector<Value> part) {
+    EXPECT_TRUE(t->UpdateCells(rows, target_cols, std::move(written)).ok());
+    for (size_t a = 0; a < part.size(); ++a) {
+      EXPECT_TRUE(t->UpdateCell(row, target_cols[a], std::move(part[a])).ok());
+    }
+    return st;
+  };
   for (size_t i = 0; i < t->num_rows(); ++i) {
     if (where) {
-      FF_ASSIGN_OR_RETURN(Value match, where->Eval(t->row(i), schema));
-      if (match.is_null() || !match.bool_value()) continue;
+      auto match = where->Eval(t->row(i), schema);
+      if (!match.ok()) return fail(match.status(), i, {});
+      if (match->is_null() || !match->bool_value()) continue;
     }
     std::vector<Value> new_values;
     for (const auto& [col, expr] : assignments) {
-      FF_ASSIGN_OR_RETURN(Value v, expr->Eval(t->row(i), schema));
-      new_values.push_back(std::move(v));
+      auto v = expr->Eval(t->row(i), schema);
+      if (!v.ok()) return fail(v.status(), i, {});
+      new_values.push_back(std::move(*v));
     }
     for (size_t a = 0; a < target_cols.size(); ++a) {
-      FF_RETURN_IF_ERROR(
-          t->UpdateCell(i, target_cols[a], std::move(new_values[a])));
+      auto v = t->CoerceCell(target_cols[a], new_values[a]);
+      if (!v.ok()) {
+        new_values.resize(a);
+        return fail(v.status(), i, std::move(new_values));
+      }
     }
-    ++updated;
+    rows.push_back(i);
+    for (Value& v : new_values) written.push_back(std::move(v));
   }
-  return updated;
+  FF_RETURN_IF_ERROR(t->UpdateCells(rows, target_cols, std::move(written)));
+  return static_cast<int64_t>(rows.size());
 }
 
 /// The row-at-a-time DELETE loop DELETE ran before it was set-oriented.

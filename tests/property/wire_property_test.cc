@@ -106,9 +106,9 @@ class WireEquivalence {
   }
 
   /// One statement through both worlds; hard-fails on any byte of
-  /// divergence. DML flows through here too — the wire side takes the
-  /// writer-thread path while the reference mutates in-process, and
-  /// both must report the same outcome.
+  /// divergence. DML flows through here too — the wire side runs it
+  /// inline under the server's exclusive lock while the reference
+  /// mutates in-process, and both must report the same outcome.
   void Check(const std::string& sql) {
     auto local = ref_.Sql(sql);
     auto wire = chaos_ ? rclient_->Query(sql) : client_.Query(sql);
@@ -157,9 +157,9 @@ class WireEquivalence {
     for (int q = 0; q < 300; ++q) {
       ASSERT_NO_FATAL_FAILURE(Check(gen.Next(&ordered)));
     }
-    // The mutation lane's DML, then its 60 statements over the dirtied
-    // zone maps — the server's writer thread re-warms scan state under
-    // exclusion, and the bytes must still match.
+    // The mutation lane's DML, then its 60 statements over the updated
+    // zone maps — the writes recompute them under the server's
+    // exclusive lock, and the bytes must still match.
     const char* dml[] = {
         "UPDATE runs SET walltime = 12345.0 WHERE day = 100",
         "DELETE FROM runs WHERE day > 350",

@@ -216,9 +216,9 @@ TEST_F(SqlDmlTest, ParseErrors) {
 }
 
 TEST_F(SqlDmlTest, ParseWriteThenExecuteWriteMatchesSql) {
-  // A statement parsed ahead (as the server parses writes outside its
-  // writer thread) fails with ExecuteSql's status and, once executed,
-  // has ExecuteSql's effect.
+  // A statement parsed ahead (as the server parses writes before taking
+  // its exclusive lock) fails with ExecuteSql's status and, once
+  // executed, has ExecuteSql's effect.
   for (const char* bad :
        {"UPDATE runs", "UPDATE runs SET", "DELETE runs", "DROP TABLE runs",
         "INSERT INTO runs VALUES ('x'", "", "CREATE TABLE t (a BLOB)"}) {
