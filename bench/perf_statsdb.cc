@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
     const statsdb::ParallelConfig saved_cfg = db.parallel_config();
     obs::QueryProfile serial_profile;
     statsdb::ParallelConfig serial_cfg;
-    serial_cfg.enabled = false;
+    serial_cfg.max_threads = 1;
     db.set_parallel_config(serial_cfg);
     auto serial_rs = statsdb::ExecutePlan(topk_plan, db, &serial_profile);
     obs::QueryProfile par_profile;
@@ -485,7 +485,7 @@ int main(int argc, char** argv) {
   std::string cache_json = "{}";
   {
     statsdb::ParallelConfig dash_serial;
-    dash_serial.enabled = false;
+    dash_serial.max_threads = 1;
     db.set_parallel_config(dash_serial);
     statsdb::CacheConfig cache_off;  // mode kOff
     statsdb::CacheConfig cache_full;

@@ -94,30 +94,32 @@ util::StatusOr<Table*> LoadRuns(statsdb::Database* db,
     // vectors, skipping per-row Row construction and validation.
     Table::BulkAppender app(table);
     app.Reserve(records.size());
-    for (const auto& r : records) {
-      bool finished = r.status == RunStatus::kCompleted;
-      app.String(r.forecast)
-          .String(r.region)
-          .Int64(r.day)
-          .String(r.node)
-          .String(r.code_version)
-          .Int64(r.mesh_sides)
-          .Int64(r.timesteps)
-          .Double(r.start_time);
-      if (finished) {
-        app.Double(r.end_time).Double(r.walltime);
-      } else {
-        app.Null().Null();
-      }
-      app.String(RunStatusName(r.status));
-      FF_RETURN_IF_ERROR(app.EndRow());
-    }
+    for (const auto& r : records) FF_RETURN_IF_ERROR(AppendRunCells(app, r));
     FF_RETURN_IF_ERROR(app.Finish());
   }
   FF_RETURN_IF_ERROR(table->CreateIndex("forecast"));
   FF_RETURN_IF_ERROR(table->CreateIndex("code_version"));
   FF_RETURN_IF_ERROR(table->CreateIndex("node"));
   return table;
+}
+
+util::Status AppendRunCells(Table::BulkAppender& app, const LogRecord& r) {
+  bool finished = r.status == RunStatus::kCompleted;
+  app.String(r.forecast)
+      .String(r.region)
+      .Int64(r.day)
+      .String(r.node)
+      .String(r.code_version)
+      .Int64(r.mesh_sides)
+      .Int64(r.timesteps)
+      .Double(r.start_time);
+  if (finished) {
+    app.Double(r.end_time).Double(r.walltime);
+  } else {
+    app.Null().Null();
+  }
+  app.String(RunStatusName(r.status));
+  return app.EndRow();
 }
 
 util::Status AppendRun(Table* table, const LogRecord& record) {

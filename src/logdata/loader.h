@@ -39,6 +39,13 @@ util::StatusOr<statsdb::Table*> LoadRuns(
     statsdb::Database* db, const std::vector<LogRecord>& records,
     parallel::ThreadPool* pool = nullptr);
 
+/// Appends `record` to the row `app` is building as the RunsSchema()
+/// cells, in order, after any cells the caller put first (the sweep's
+/// `replica`), and ends the row. The one writer of LogRecord cells for
+/// bulk loads, shared by LoadRuns and parallel::LoadSweepRuns.
+util::Status AppendRunCells(statsdb::Table::BulkAppender& app,
+                            const LogRecord& record);
+
 /// Appends one record to an existing runs table (incremental refresh, the
 /// paper's "insert commands into the run scripts to update the database").
 util::Status AppendRun(statsdb::Table* table, const LogRecord& record);

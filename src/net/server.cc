@@ -204,7 +204,7 @@ void Server::Stop() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Waits out the frame a forced session's task is executing, and the
-  // tail every task runs after releasing its slot (reap, wakeup).
+  // tail every task runs after releasing its slot (the wakeup).
   pool_->Wait();
 
   for (auto& [fd, s] : sessions_) {
@@ -304,11 +304,6 @@ void Server::EventLoop() {
     // still flushing parked bytes is NOT reaped — the peer half-closed
     // and may well be reading our responses (that is what a pipelined
     // client draining its tail looks like).
-    std::vector<int> reap;
-    {
-      std::lock_guard<std::mutex> lk(reap_mu_);
-      reap.swap(reap_fds_);
-    }
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       Session& s = *it->second;
       bool close_now = false;
@@ -499,17 +494,8 @@ void Server::DrainSession(std::shared_ptr<Session> s) {
 
     HandleFrame(*s, frame);
   }
-  // Out of the loop: task slot released; tell the event thread in case
-  // the session is now reapable (fatal or EOF with nothing pending).
-  bool reap = false;
-  {
-    std::lock_guard<std::mutex> lk(s->mu);
-    reap = s->fatal || s->eof;
-  }
-  if (reap) {
-    std::lock_guard<std::mutex> lk(reap_mu_);
-    reap_fds_.push_back(s->fd);
-  }
+  // Out of the loop: task slot released; wake the event thread, which
+  // reaps the session if it is now fatal or at EOF with nothing pending.
   WakeEventThread();
 }
 

@@ -318,9 +318,6 @@ class Server {
   // Event-thread-owned session table; other threads only reach sessions
   // through the shared_ptrs captured in their tasks.
   std::map<int, std::shared_ptr<Session>> sessions_;
-  // Reap requests from tasks (fds whose session turned fatal).
-  std::mutex reap_mu_;
-  std::vector<int> reap_fds_;
 
   mutable std::mutex registry_mu_;
   std::vector<std::shared_ptr<SessionState>> registry_;

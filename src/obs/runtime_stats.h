@@ -7,8 +7,7 @@
 // replicas waiting in queue. The two domains never mix: virtual-time
 // traces stay byte-deterministic across thread counts, runtime profiles
 // are real measurements and must never leak into determinism-gated
-// artifacts (the same contract statsdb_bridge.h documents for
-// MorselStat wall times).
+// artifacts.
 //
 // Layering: this file lives in its own library (ff_runtime_stats,
 // depending only on ff_util) so that BOTH ff_parallel_core (the thread
@@ -202,10 +201,10 @@ struct OperatorProfile {
   uint64_t chunks_pruned = 0;   // chunks skipped via zone maps
   uint64_t index_rows = 0;      // rows served by the hash-index path
 
-  // Parallel-unit counters (a morsel fan-out that replaced a pipeline).
+  // Parallel-unit counters (a Gather: one scan chain's morsel fan-out).
   bool parallel = false;
   uint64_t morsels = 0;        // morsels dispatched
-  uint64_t merge_ns = 0;       // deterministic merge-cascade time
+  uint64_t merge_ns = 0;       // morsel-order merge of aggregate partials
   uint64_t max_morsel_ns = 0;  // slowest morsel
 
   std::vector<std::unique_ptr<OperatorProfile>> children;

@@ -106,25 +106,5 @@ util::StatusOr<Table*> LoadMetricSamples(const MetricsRegistry& metrics,
   return table;
 }
 
-statsdb::MorselHook TraceMorselHook() {
-  return [](const char* op, const std::vector<statsdb::MorselStat>& stats) {
-    TraceRecorder* tr = ActiveTrace();
-    if (tr == nullptr) return;
-    // The hook fires on the coordinating thread after the fan-out
-    // barrier, so these writes are single-threaded like any other
-    // instrumentation site.
-    double t0 = tr->now();
-    std::string track = std::string("statsdb/") + op;
-    for (const auto& m : stats) {
-      SpanId id = tr->BeginSpan(t0, SpanCategory::kSim, "morsel", track);
-      tr->SpanArg(id, "morsel", static_cast<double>(m.morsel));
-      tr->SpanArg(id, "chunk", static_cast<double>(m.chunk));
-      tr->SpanArg(id, "rows", static_cast<double>(m.rows));
-      tr->SpanArg(id, "wall_ms", m.wall_ms);
-      tr->EndSpan(id, t0 + m.wall_ms / 1000.0);
-    }
-  };
-}
-
 }  // namespace obs
 }  // namespace ff

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
 
 namespace ff {
 namespace obs {
@@ -41,21 +40,6 @@ util::StatusOr<statsdb::Table*> LoadInstants(
 util::StatusOr<statsdb::Table*> LoadMetricSamples(
     const MetricsRegistry& metrics, statsdb::Database* db,
     const std::string& table_name = "metric_samples");
-
-/// A statsdb::MorselHook that records one span per morsel of a parallel
-/// query into the calling thread's ActiveTrace() — so morsel fan-out
-/// shows up in the same Chrome trace as the simulation that issued the
-/// query. Track "statsdb/<op>", category kSim; spans start at the
-/// recorder's current virtual time and extend by the morsel's measured
-/// wall time (seconds), with morsel/chunk/rows/wall_ms
-/// attached as span args. No-op when no recorder is installed; the
-/// statsdb layer cannot link obs (obs links statsdb), which is why this
-/// lives here as a factory instead of inside the executor.
-///
-/// Note: morsel wall times are real measurements, so installing this in
-/// a SweepRunner replica makes the merged trace timing-dependent — keep
-/// it out of byte-determinism comparisons.
-statsdb::MorselHook TraceMorselHook();
 
 }  // namespace obs
 }  // namespace ff

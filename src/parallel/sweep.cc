@@ -168,23 +168,8 @@ util::StatusOr<statsdb::Table*> LoadSweepRuns(statsdb::Database* db,
     app.Reserve(outputs.merged_records.size());
     for (size_t ri = 0; ri < outputs.replica_records.size(); ++ri) {
       for (const auto& r : outputs.replica_records[ri]) {
-        bool finished = r.status == logdata::RunStatus::kCompleted;
-        app.Int64(static_cast<int64_t>(ri))
-            .String(r.forecast)
-            .String(r.region)
-            .Int64(r.day)
-            .String(r.node)
-            .String(r.code_version)
-            .Int64(r.mesh_sides)
-            .Int64(r.timesteps)
-            .Double(r.start_time);
-        if (finished) {
-          app.Double(r.end_time).Double(r.walltime);
-        } else {
-          app.Null().Null();
-        }
-        app.String(logdata::RunStatusName(r.status));
-        FF_RETURN_IF_ERROR(app.EndRow());
+        app.Int64(static_cast<int64_t>(ri));
+        FF_RETURN_IF_ERROR(logdata::AppendRunCells(app, r));
       }
     }
     FF_RETURN_IF_ERROR(app.Finish());

@@ -79,9 +79,8 @@ bool FpOptionalExpr(const ExprPtr& e, DualFingerprint* fp) {
 }
 
 /// Structural fingerprint walk; collects referenced table names into
-/// *tables (with duplicates). Returns false for uncacheable plans:
-/// MaterializedNode leaves (their rows have no stable identity) and
-/// unbound parameters.
+/// *tables (with duplicates). Returns false for uncacheable plans: those
+/// with unbound parameters.
 bool FpPlan(const PlanNode& plan, DualFingerprint* fp,
             std::vector<std::string>* tables) {
   fp->U8(kPlanTag + static_cast<uint8_t>(plan.kind()));
@@ -145,8 +144,6 @@ bool FpPlan(const PlanNode& plan, DualFingerprint* fp,
       fp->Str(n.right_col);
       return FpPlan(*n.left, fp, tables) && FpPlan(*n.right, fp, tables);
     }
-    case PlanKind::kMaterialized:
-      return false;
   }
   return false;
 }

@@ -30,8 +30,7 @@
 // byte-identical to cache-off on both engines at any pool size. Error
 // results are never cached (re-executing an erroring statement is the
 // byte-identical behaviour, and errors are cheap). Plans containing
-// MaterializedNode leaves or unbound parameters are uncacheable in the
-// result tier and bypass it.
+// unbound parameters are uncacheable in the result tier and bypass it.
 //
 // Concurrency: lookups take a shared lock and touch per-entry
 // recency stamps with relaxed atomics, so concurrent readers never
@@ -171,8 +170,7 @@ class QueryCache {
   // -------------------------------------------------------- result tier
   /// Builds the result-tier key for an optimized plan against the
   /// database's CURRENT table epochs. cacheable=false (bypass) when the
-  /// plan holds a MaterializedNode, an unbound parameter, or references
-  /// a missing table.
+  /// plan holds an unbound parameter or references a missing table.
   static ResultKey MakeResultKey(const PlanNode& plan, const Database& db);
   /// Returns the cached result on an exact (fingerprint, epochs) match;
   /// null on miss or stale entry. Concurrent callers share the lock.

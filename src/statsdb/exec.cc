@@ -1,11 +1,13 @@
 #include "statsdb/exec.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "obs/runtime_stats.h"
+#include "parallel/thread_pool.h"
 #include "statsdb/database.h"
 #include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
@@ -58,29 +60,21 @@ void ApplyBoolMaskSel(const ColumnVector& v, size_t n,
   }
 }
 
-/// Sets `*out` to rows [lo, hi) of `rows` as one `vals`-mode vector per
-/// column: exact runtime-typed Values, whatever the declared types. The
-/// cells are moved out of a mutable `rows` and copied from a const one.
-template <typename Rows>
-void FillColumns(Rows& rows, size_t lo, size_t hi, Batch* out) {
-  *out = Batch();
-  out->num_rows = hi - lo;
-  out->cols.resize(rows[lo].size());
-  for (size_t c = 0; c < out->cols.size(); ++c) {
-    ColumnVector& v = out->cols[c];
-    v.length = hi - lo;
-    v.own_vals.reserve(hi - lo);
-    for (size_t r = lo; r < hi; ++r) {
-      v.own_vals.push_back(std::move(rows[r][c]));
-    }
-    v.Seal();
-  }
-}
-
-/// Emits `rows` as one columnar batch in `*out`; nullptr when empty.
+/// Emits `rows` as one columnar batch in `*out`, one `vals`-mode vector
+/// per column: exact runtime-typed Values, whatever the declared types.
+/// nullptr when `rows` is empty.
 const Batch* EmitRows(std::vector<Row> rows, Batch* out) {
   if (rows.empty()) return nullptr;
-  FillColumns(rows, 0, rows.size(), out);
+  *out = Batch();
+  out->num_rows = rows.size();
+  out->cols.resize(rows[0].size());
+  for (size_t c = 0; c < out->cols.size(); ++c) {
+    ColumnVector& v = out->cols[c];
+    v.length = rows.size();
+    v.own_vals.reserve(rows.size());
+    for (Row& row : rows) v.own_vals.push_back(std::move(row[c]));
+    v.Seal();
+  }
   return out;
 }
 
@@ -136,25 +130,16 @@ bool ChunkPruned(const ScanSetup& s, size_t chunk, size_t span) {
   return false;
 }
 
+/// Scans chunks [first, end) of a prepared scan: the whole table, or
+/// one chunk for a morsel, whose Gather shares `setup` among them all.
 class ScanIterator : public BatchIterator {
  public:
-  ScanIterator(const ScanNode& node, const Database& db,
-               obs::OperatorProfile* prof = nullptr)
-      : node_(&node), db_(&db), prof_(prof) {}
-  /// Single-chunk scan reusing a shared coordinator-built setup (one
-  /// parallel morsel); `chunk` is an entry of SurveyScanChunks(*setup).
-  ScanIterator(const ScanSetup* setup, size_t chunk,
-               obs::OperatorProfile* prof = nullptr)
-      : setup_(setup), chunk_(chunk), end_chunk_(chunk + 1), prof_(prof) {}
+  ScanIterator(std::shared_ptr<const ScanSetup> setup, size_t first,
+               size_t end, obs::OperatorProfile* prof)
+      : setup_(std::move(setup)), chunk_(first), end_chunk_(end),
+        prof_(prof) {}
 
-  util::Status Init() {
-    if (setup_ == nullptr) {
-      FF_ASSIGN_OR_RETURN(own_setup_, PrepareScan(*node_, *db_));
-      setup_ = &own_setup_;
-      end_chunk_ = (setup_->store->num_rows() + kChunkRows - 1) / kChunkRows;
-    }
-    return util::Status::OK();
-  }
+  util::Status Init() { return util::Status::OK(); }
 
   const Schema& schema() const override { return setup_->table->schema(); }
 
@@ -276,12 +261,9 @@ class ScanIterator : public BatchIterator {
   }
 
  private:
-  const ScanNode* node_ = nullptr;   // whole-table scan only
-  const Database* db_ = nullptr;     // whole-table scan only
-  ScanSetup own_setup_;              // whole-table scan only
-  const ScanSetup* setup_ = nullptr;
-  size_t chunk_ = 0;      // next chunk to scan
-  size_t end_chunk_ = 0;  // one past the last chunk to scan
+  std::shared_ptr<const ScanSetup> setup_;
+  size_t chunk_;      // next chunk to scan
+  size_t end_chunk_;  // one past the last chunk to scan
   size_t index_pos_ = 0;
   obs::OperatorProfile* prof_ = nullptr;
   Batch out_;
@@ -377,40 +359,6 @@ class ProjectIterator : public BatchIterator {
   const ProjectNode& node_;
   IterPtr input_;
   Schema out_schema_;
-  Batch out_;
-};
-
-// ------------------------------------------------------------- aggregate
-
-class AggregateIterator : public BatchIterator {
- public:
-  AggregateIterator(const AggregateNode& node, IterPtr input)
-      : node_(node), input_(std::move(input)) {}
-
-  util::Status Init() {
-    FF_ASSIGN_OR_RETURN(
-        out_schema_,
-        AggOutputSchema(input_->schema(), node_.group_by, node_.aggs,
-                        &key_cols_));
-    return util::Status::OK();
-  }
-
-  const Schema& schema() const override { return out_schema_; }
-
-  util::StatusOr<const Batch*> Next() override {
-    if (done_) return nullptr;
-    done_ = true;
-    GroupedAgg groups(&node_.aggs, key_cols_);
-    FF_RETURN_IF_ERROR(groups.FoldAll(*input_));
-    return EmitRows(groups.Finish(out_schema_), &out_);
-  }
-
- private:
-  const AggregateNode& node_;
-  IterPtr input_;
-  Schema out_schema_;
-  std::vector<size_t> key_cols_;
-  bool done_ = false;
   Batch out_;
 };
 
@@ -668,33 +616,6 @@ class LimitIterator : public BatchIterator {
   Batch out_;
 };
 
-// ---------------------------------------------------------- materialized
-
-class MaterializedIterator : public BatchIterator {
- public:
-  explicit MaterializedIterator(const MaterializedNode& node) : node_(node) {}
-
-  util::Status Init() { return util::Status::OK(); }
-
-  const Schema& schema() const override { return node_.schema; }
-
-  util::StatusOr<const Batch*> Next() override {
-    size_t n = node_.rows->size();
-    if (next_ == n) return nullptr;
-    size_t end = batch_ < node_.batch_ends.size() ? node_.batch_ends[batch_++]
-                                                  : n;
-    FillColumns(*node_.rows, next_, end, &out_);
-    next_ = end;
-    return &out_;
-  }
-
- private:
-  const MaterializedNode& node_;
-  size_t next_ = 0;   // first row of the next batch
-  size_t batch_ = 0;  // index into batch_ends
-  Batch out_;
-};
-
 template <typename T, typename... Args>
 util::StatusOr<IterPtr> MakeIter(Args&&... args) {
   auto it = std::make_unique<T>(std::forward<Args>(args)...);
@@ -802,57 +723,281 @@ std::vector<size_t> SurveyScanChunks(const ScanSetup& setup) {
   return out;
 }
 
-util::StatusOr<IterPtr> BuildChainIterator(const PlanNode& plan,
-                                           const ScanSetup* setup,
-                                           size_t chunk,
-                                           obs::OperatorProfile* prof) {
+namespace {
+
+util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
+                                          IterPtr input);
+
+/// Builds the iterator tree for `plan`, which must be a chain of
+/// Filter/Project nodes over one Scan leaf, prepared as `setup`; the
+/// leaf scans chunks [first, end).
+util::StatusOr<IterPtr> BuildChainIterator(
+    const PlanNode& plan, const std::shared_ptr<const ScanSetup>& setup,
+    size_t first, size_t end, obs::OperatorProfile* prof) {
   if (plan.kind() == PlanKind::kScan) {
-    return WrapProfiled(MakeIter<ScanIterator>(setup, chunk, prof), plan,
-                        prof);
+    return WrapProfiled(MakeIter<ScanIterator>(setup, first, end, prof),
+                        plan, prof);
   }
   if (plan.kind() != PlanKind::kFilter && plan.kind() != PlanKind::kProject) {
     return util::Status::Internal("BuildChainIterator: not a scan chain: " +
                                   plan.ToString());
   }
   obs::OperatorProfile* cp = prof == nullptr ? nullptr : prof->AddChild();
-  FF_ASSIGN_OR_RETURN(
-      IterPtr in, BuildChainIterator(*PlanInputs(plan)[0], setup, chunk, cp));
+  FF_ASSIGN_OR_RETURN(IterPtr in, BuildChainIterator(*PlanInputs(plan)[0],
+                                                     setup, first, end, cp));
   return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
 }
 
-util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
-                                              const ExprPtr& where,
-                                              const Database& db) {
-  PlanPtr plan = MakeScan(table);
-  if (where != nullptr) plan = MakeFilter(std::move(plan), where);
-  // A well-typed WHERE lands in the scan; an ill-typed one stays a
-  // Filter above it, as in SELECT.
-  plan = OptimizePlan(plan, db);
-  const PlanNode* leaf = plan.get();
-  while (leaf->kind() != PlanKind::kScan) leaf = PlanInputs(*leaf)[0].get();
-  FF_ASSIGN_OR_RETURN(
-      ScanSetup setup,
-      PrepareScan(static_cast<const ScanNode&>(*leaf), db));
-  std::vector<size_t> chunks = SurveyScanChunks(setup);
-  if (chunks.empty() && plan->kind() == PlanKind::kFilter) {
-    // No chain iterator is built, so run the check SELECT's Filter
-    // makes when it is built over an empty table.
-    FF_RETURN_IF_ERROR(
-        CheckBoolPredicate(static_cast<const FilterNode&>(*plan).predicate,
-                           setup.table->schema()));
-  }
-  std::vector<size_t> ids;
-  for (size_t chunk : chunks) {
-    FF_ASSIGN_OR_RETURN(IterPtr it, BuildChainIterator(*plan, &setup, chunk));
-    FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());  // at most one
-    if (batch == nullptr) continue;
-    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      ids.push_back(chunk * kChunkRows + batch->RowAt(k));
-    }
-  }
-  return ids;
+// -------------------------------------------------------- morsel fan-out
+
+/// A chain is a pipeline the executor can split by chunk: Filter/Project
+/// operators over exactly one Scan leaf. The scan emits one batch per
+/// chunk and Filter/Project map batches one to one, so running the chain
+/// once per chunk yields, in chunk order, exactly the batches of one
+/// serial pass.
+bool IsChain(const PlanNode& n) {
+  if (n.kind() == PlanKind::kScan) return true;
+  return (n.kind() == PlanKind::kFilter || n.kind() == PlanKind::kProject) &&
+         IsChain(*PlanInputs(n)[0]);
 }
 
+const ScanNode& ChainLeaf(const PlanNode& n) {
+  if (n.kind() == PlanKind::kScan) return static_cast<const ScanNode&>(n);
+  return ChainLeaf(*PlanInputs(n)[0]);
+}
+
+/// obs::RuntimeNowNs() when profiling is compiled in, else 0.
+int64_t ProfileNowNs() {
+  return obs::kProfilingCompiledIn ? obs::RuntimeNowNs() : 0;
+}
+
+/// Morsel fan-out of one scan chain, each morsel optionally capped by
+/// its own copy of `cap`, a Distinct or a top-k Sort. The scan is
+/// prepared once (BuildChain) and every surviving chunk is one morsel,
+/// which runs the serial operators over that chunk and emits at most
+/// one batch.
+///
+/// On its first Next() the Gather runs every morsel on the pool, then
+/// yields their batches in chunk order: the batches the serial chain
+/// (or `cap` over each of them) emits, in the serial order, so the
+/// serial Distinct or Sort above it combines the morsels exactly as it
+/// would combine the chunks. FoldGroups instead folds each morsel into
+/// its own GroupedAgg for an Aggregate above. Either way the error
+/// returned is the lowest failing morsel's: a chunk's errors do not
+/// depend on the thread that runs it, so that is the error a serial
+/// pass over the chunks hits first.
+class GatherIterator : public BatchIterator {
+ public:
+  GatherIterator(const PlanNode& chain, const PlanNode* cap,
+                 std::shared_ptr<const ScanSetup> setup,
+                 std::vector<size_t> chunks, parallel::ThreadPool* pool,
+                 const char* op, obs::OperatorProfile* prof)
+      : chain_(chain),
+        cap_(cap),
+        setup_(std::move(setup)),
+        chunks_(std::move(chunks)),
+        pool_(pool),
+        prof_(prof),
+        morsels_(chunks_.size()),
+        batches_(chunks_.size(), nullptr) {
+    if (prof_ == nullptr) return;
+    prof_->name = util::StrFormat("Parallel[%s]", op);
+    prof_->parallel = true;
+    morsel_profs_.resize(chunks_.size());
+  }
+
+  /// Builds morsel 0 on the calling thread, so the chain's and the
+  /// cap's Init errors surface at build time, in the serial order.
+  util::Status Init() { return BuildMorsel(0); }
+
+  const Schema& schema() const override { return morsels_[0]->schema(); }
+
+  util::StatusOr<const Batch*> Next() override {
+    if (!ran_) {
+      ran_ = true;
+      FF_RETURN_IF_ERROR(
+          RunMorsels([this](size_t i, BatchIterator& it) -> util::Status {
+            FF_ASSIGN_OR_RETURN(batches_[i], it.Next());
+            return util::Status::OK();
+          }));
+    }
+    while (next_ < batches_.size()) {
+      const Batch* batch = batches_[next_++];
+      if (batch == nullptr) continue;
+      if (prof_ != nullptr) {
+        ++prof_->batches;
+        prof_->rows_out += batch->ActiveRows();
+      }
+      return batch;
+    }
+    return nullptr;
+  }
+
+  /// Folds morsel i into partial groups i on the pool and merges the
+  /// partials in morsel order. The serial Aggregate folds each chunk's
+  /// one batch into fresh partial states and merges them into its
+  /// running groups, so both make the same AggState::Merge calls.
+  util::StatusOr<GroupedAgg> FoldGroups(const std::vector<AggSpec>* aggs,
+                                        const std::vector<size_t>& key_cols) {
+    std::vector<GroupedAgg> parts(morsels_.size(),
+                                  GroupedAgg(aggs, key_cols));
+    FF_RETURN_IF_ERROR(RunMorsels([&parts](size_t i, BatchIterator& it) {
+      return parts[i].FoldAll(it);
+    }));
+    const int64_t t0 = prof_ == nullptr ? 0 : ProfileNowNs();
+    GroupedAgg groups(aggs, key_cols);
+    for (const GroupedAgg& part : parts) groups.Merge(part);
+    if (prof_ != nullptr) {
+      const uint64_t ns = static_cast<uint64_t>(ProfileNowNs() - t0);
+      prof_->merge_ns += ns;
+      prof_->wall_ns += ns;
+      // What the Aggregate consumed: the chain's rows, folded.
+      prof_->rows_out = prof_->children[0]->rows_out;
+      prof_->batches = prof_->children[0]->batches;
+    }
+    return groups;
+  }
+
+ private:
+  util::Status BuildMorsel(size_t i) {
+    FF_ASSIGN_OR_RETURN(
+        IterPtr it,
+        BuildChainIterator(chain_, setup_, chunks_[i], chunks_[i] + 1,
+                           prof_ == nullptr ? nullptr : &morsel_profs_[i]));
+    if (cap_ != nullptr) {
+      FF_ASSIGN_OR_RETURN(it, BuildIteratorOver(*cap_, std::move(it)));
+    }
+    morsels_[i] = std::move(it);
+    return util::Status::OK();
+  }
+
+  /// Runs fn(i, morsel i) for every morsel on the pool, building the
+  /// morsels other than 0 on their workers, and returns the lowest
+  /// failing morsel's error. Profiled, it then merges the morsel chain
+  /// profiles in morsel order into one chain child and charges the
+  /// chunks the survey pruned to that chain's scan: each morsel scans
+  /// one surviving chunk and never sees them.
+  util::Status RunMorsels(
+      const std::function<util::Status(size_t, BatchIterator&)>& fn) {
+    const size_t m = morsels_.size();
+    std::vector<util::Status> errs(m, util::Status::OK());
+    std::vector<uint64_t> morsel_ns(prof_ == nullptr ? 0 : m);
+    const int64_t t0 = prof_ == nullptr ? 0 : ProfileNowNs();
+    parallel::TaskGroup group(pool_);
+    group.ParallelFor(m, [&](size_t i) {
+      const int64_t m0 = morsel_ns.empty() ? 0 : ProfileNowNs();
+      if (morsels_[i] == nullptr) errs[i] = BuildMorsel(i);
+      if (errs[i].ok()) errs[i] = fn(i, *morsels_[i]);
+      if (!morsel_ns.empty()) {
+        morsel_ns[i] = static_cast<uint64_t>(ProfileNowNs() - m0);
+      }
+    });
+    if (prof_ != nullptr) {
+      prof_->morsels = m;
+      for (uint64_t ns : morsel_ns) {
+        prof_->max_morsel_ns = std::max(prof_->max_morsel_ns, ns);
+      }
+      obs::OperatorProfile* chain = prof_->AddChild();
+      for (const obs::OperatorProfile& mp : morsel_profs_) {
+        chain->MergeFrom(mp);
+      }
+      obs::OperatorProfile* leaf = chain;
+      while (!leaf->children.empty()) leaf = leaf->children[0].get();
+      if (leaf->is_scan) {
+        leaf->chunks_pruned += setup_->store->num_chunks() - m;
+      }
+      prof_->wall_ns += static_cast<uint64_t>(ProfileNowNs() - t0);
+    }
+    for (const util::Status& err : errs) {
+      if (!err.ok()) return err;
+    }
+    return util::Status::OK();
+  }
+
+  const PlanNode& chain_;
+  const PlanNode* cap_;
+  const std::shared_ptr<const ScanSetup> setup_;
+  const std::vector<size_t> chunks_;  // surviving chunks, one morsel each
+  parallel::ThreadPool* pool_;
+  obs::OperatorProfile* prof_;
+  std::vector<obs::OperatorProfile> morsel_profs_;  // profiled only
+  std::vector<IterPtr> morsels_;
+  std::vector<const Batch*> batches_;  // morsel i's batch, or nullptr
+  bool ran_ = false;
+  size_t next_ = 0;  // next batch to yield
+};
+
+/// Builds the scan chain `chain`, preparing its scan once. With `par`,
+/// when at least max(2, par->min_chunks) chunks survive the survey, it
+/// is a Gather whose morsels are capped by `cap` (also stored in
+/// `*gather` when that is non-null); otherwise the serial chain. Either
+/// way Init errors come out here in the serial chain's order.
+util::StatusOr<IterPtr> BuildChain(const PlanNode& chain, const PlanNode* cap,
+                                   const char* op, const Database& db,
+                                   const ParallelConfig* par,
+                                   obs::OperatorProfile* prof,
+                                   GatherIterator** gather = nullptr) {
+  FF_ASSIGN_OR_RETURN(ScanSetup prepared, PrepareScan(ChainLeaf(chain), db));
+  auto setup = std::make_shared<const ScanSetup>(std::move(prepared));
+  if (par != nullptr) {
+    std::vector<size_t> chunks = SurveyScanChunks(*setup);
+    if (chunks.size() >= std::max<size_t>(2, par->min_chunks)) {
+      auto fan_out = std::make_unique<GatherIterator>(
+          chain, cap, std::move(setup), std::move(chunks), par->pool, op,
+          prof);
+      FF_RETURN_IF_ERROR(fan_out->Init());
+      if (gather != nullptr) *gather = fan_out.get();
+      return IterPtr(std::move(fan_out));
+    }
+  }
+  return BuildChainIterator(chain, setup, 0, setup->store->num_chunks(),
+                            prof);
+}
+
+// ------------------------------------------------------------- aggregate
+
+class AggregateIterator : public BatchIterator {
+ public:
+  /// With `gather`, which must be `input` itself, the gather's morsels
+  /// fold their own partial groups instead of `input` being pulled.
+  AggregateIterator(const AggregateNode& node, IterPtr input,
+                    GatherIterator* gather = nullptr)
+      : node_(node), input_(std::move(input)), gather_(gather) {}
+
+  util::Status Init() {
+    FF_ASSIGN_OR_RETURN(
+        out_schema_,
+        AggOutputSchema(input_->schema(), node_.group_by, node_.aggs,
+                        &key_cols_));
+    return util::Status::OK();
+  }
+
+  const Schema& schema() const override { return out_schema_; }
+
+  util::StatusOr<const Batch*> Next() override {
+    if (done_) return nullptr;
+    done_ = true;
+    GroupedAgg groups(&node_.aggs, key_cols_);
+    if (gather_ != nullptr) {
+      FF_ASSIGN_OR_RETURN(groups, gather_->FoldGroups(&node_.aggs, key_cols_));
+    } else {
+      FF_RETURN_IF_ERROR(groups.FoldAll(*input_));
+    }
+    return EmitRows(groups.Finish(out_schema_), &out_);
+  }
+
+ private:
+  const AggregateNode& node_;
+  IterPtr input_;
+  GatherIterator* gather_;
+  Schema out_schema_;
+  std::vector<size_t> key_cols_;
+  bool done_ = false;
+  Batch out_;
+};
+
+/// Builds the operator iterator for the single-input node `plan` over an
+/// already-built `input` stream in place of the node's own input.
 util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
                                           IterPtr input) {
   switch (plan.kind()) {
@@ -879,6 +1024,113 @@ util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
   }
 }
 
+/// BuildIterator's recursion. `full` is false below a Limit with no
+/// pipeline breaker in between: the Limit may stop pulling early, so a
+/// chain there stays a lazy serial stream. Breakers drain their input
+/// whatever sits above them, so a chain under one may always fan out.
+util::StatusOr<IterPtr> Build(const PlanNode& plan, const Database& db,
+                              const ParallelConfig* par, bool full,
+                              obs::OperatorProfile* prof) {
+  if (IsChain(plan)) {
+    return BuildChain(plan, nullptr, "collect", db, full ? par : nullptr,
+                      prof);
+  }
+  // One profile child per plan input.
+  auto child = [prof]() {
+    return prof == nullptr ? nullptr : prof->AddChild();
+  };
+  const PlanKind kind = plan.kind();
+  if (kind == PlanKind::kHashJoin) {
+    const auto& n = static_cast<const HashJoinNode&>(plan);
+    // Two children: [0] = left (probe), [1] = right (build). The probe
+    // drains the build side in full before its first pull of the left.
+    obs::OperatorProfile* cl = child();
+    obs::OperatorProfile* cr = child();
+    FF_ASSIGN_OR_RETURN(IterPtr l, Build(*n.left, db, par, full, cl));
+    FF_ASSIGN_OR_RETURN(IterPtr r, Build(*n.right, db, par, true, cr));
+    return WrapProfiled(
+        MakeIter<HashJoinIterator>(n, std::move(l), std::move(r)), plan,
+        prof);
+  }
+
+  // Single-input operators.
+  const PlanNode& input = *PlanInputs(plan)[0];
+  obs::OperatorProfile* cp = child();
+  const bool topk = kind == PlanKind::kSort &&
+                    static_cast<const SortNode&>(plan).limit_hint > 0;
+  if (IsChain(input) &&
+      (kind == PlanKind::kAggregate || kind == PlanKind::kDistinct || topk)) {
+    // Each morsel runs its own Distinct or top-k Sort, and this one
+    // combines them; an Aggregate folds the morsels' own partials.
+    const bool agg = kind == PlanKind::kAggregate;
+    GatherIterator* gather = nullptr;
+    FF_ASSIGN_OR_RETURN(
+        IterPtr in,
+        BuildChain(input, agg ? nullptr : &plan,
+                   agg ? "aggregate" : topk ? "topk" : "distinct", db, par,
+                   cp, &gather));
+    return WrapProfiled(
+        agg ? MakeIter<AggregateIterator>(
+                  static_cast<const AggregateNode&>(plan), std::move(in),
+                  gather)
+            : BuildIteratorOver(plan, std::move(in)),
+        plan, prof);
+  }
+  // Filter and Project stream their input, a Limit may stop pulling it
+  // early, and every other operator drains it fully.
+  bool input_full = kind != PlanKind::kLimit;
+  if (kind == PlanKind::kFilter || kind == PlanKind::kProject) {
+    input_full = full;
+  }
+  FF_ASSIGN_OR_RETURN(IterPtr in, Build(input, db, par, input_full, cp));
+  return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
+}
+
+bool HasParallelUnit(const obs::OperatorProfile& op) {
+  if (op.parallel) return true;
+  for (const auto& c : op.children) {
+    if (HasParallelUnit(*c)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
+                                              const ExprPtr& where,
+                                              const Database& db) {
+  PlanPtr plan = MakeScan(table);
+  if (where != nullptr) plan = MakeFilter(std::move(plan), where);
+  // A well-typed WHERE lands in the scan; an ill-typed one stays a
+  // Filter above it, as in SELECT.
+  plan = OptimizePlan(plan, db);
+  const PlanNode* leaf = plan.get();
+  while (leaf->kind() != PlanKind::kScan) leaf = PlanInputs(*leaf)[0].get();
+  FF_ASSIGN_OR_RETURN(
+      ScanSetup prepared,
+      PrepareScan(static_cast<const ScanNode&>(*leaf), db));
+  auto setup = std::make_shared<const ScanSetup>(std::move(prepared));
+  std::vector<size_t> chunks = SurveyScanChunks(*setup);
+  if (chunks.empty() && plan->kind() == PlanKind::kFilter) {
+    // No chain iterator is built, so run the check SELECT's Filter
+    // makes when it is built over an empty table.
+    FF_RETURN_IF_ERROR(
+        CheckBoolPredicate(static_cast<const FilterNode&>(*plan).predicate,
+                           setup->table->schema()));
+  }
+  std::vector<size_t> ids;
+  for (size_t chunk : chunks) {
+    FF_ASSIGN_OR_RETURN(IterPtr it, BuildChainIterator(*plan, setup, chunk,
+                                                       chunk + 1, nullptr));
+    FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());  // at most one
+    if (batch == nullptr) continue;
+    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
+      ids.push_back(chunk * kChunkRows + batch->RowAt(k));
+    }
+  }
+  return ids;
+}
+
 std::vector<PlanPtr> PlanInputs(const PlanNode& plan) {
   switch (plan.kind()) {
     case PlanKind::kFilter:
@@ -898,81 +1150,43 @@ std::vector<PlanPtr> PlanInputs(const PlanNode& plan) {
       return {j.left, j.right};
     }
     case PlanKind::kScan:
-    case PlanKind::kMaterialized:
       return {};
   }
   return {};
 }
 
 util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
-                                      obs::OperatorProfile* prof) {
-  // One profile child per plan input, created lazily per case (leaves
-  // get none).
-  auto child = [prof]() {
-    return prof == nullptr ? nullptr : prof->AddChild();
-  };
-  switch (plan.kind()) {
-    case PlanKind::kScan:
-      return WrapProfiled(
-          MakeIter<ScanIterator>(static_cast<const ScanNode&>(plan), db, prof),
-          plan, prof);
-    case PlanKind::kHashJoin: {
-      const auto& n = static_cast<const HashJoinNode&>(plan);
-      // Two children: [0] = left (probe), [1] = right (build), matching
-      // the parallel rewriter's traversal order.
-      obs::OperatorProfile* cl = child();
-      obs::OperatorProfile* cr = child();
-      FF_ASSIGN_OR_RETURN(IterPtr l, BuildIterator(*n.left, db, cl));
-      FF_ASSIGN_OR_RETURN(IterPtr r, BuildIterator(*n.right, db, cr));
-      return WrapProfiled(
-          MakeIter<HashJoinIterator>(n, std::move(l), std::move(r)), plan,
-          prof);
-    }
-    case PlanKind::kMaterialized:
-      return WrapProfiled(MakeIter<MaterializedIterator>(
-                              static_cast<const MaterializedNode&>(plan)),
-                          plan, prof);
-    default: {  // single-input operators
-      FF_ASSIGN_OR_RETURN(IterPtr in,
-                          BuildIterator(*PlanInputs(plan)[0], db, child()));
-      return WrapProfiled(BuildIteratorOver(plan, std::move(in)), plan, prof);
-    }
-  }
-}
-
-util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
-                       std::vector<size_t>* batch_ends) {
-  for (;;) {
-    FF_ASSIGN_OR_RETURN(const Batch* batch, it.Next());
-    if (batch == nullptr) return util::Status::OK();
-    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      out->push_back(batch->MaterializeRow(batch->RowAt(k)));
-    }
-    if (batch_ends != nullptr && batch->ActiveRows() > 0) {
-      batch_ends->push_back(out->size());
-    }
-  }
+                                      obs::OperatorProfile* prof,
+                                      const ParallelConfig* par) {
+  return Build(plan, db, par, /*full=*/true, prof);
 }
 
 util::StatusOr<ResultSet> Drain(BatchIterator& it) {
   ResultSet rs{it.schema(), {}};
-  FF_RETURN_IF_ERROR(DrainRows(it, &rs.rows));
-  return rs;
+  for (;;) {
+    FF_ASSIGN_OR_RETURN(const Batch* batch, it.Next());
+    if (batch == nullptr) return rs;
+    for (size_t k = 0; k < batch->ActiveRows(); ++k) {
+      rs.rows.push_back(batch->MaterializeRow(batch->RowAt(k)));
+    }
+  }
 }
 
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
                                           const Database& db,
-                                          obs::QueryProfile* profile) {
+                                          obs::QueryProfile* profile,
+                                          const ParallelConfig* par) {
   if (profile == nullptr) {
-    FF_ASSIGN_OR_RETURN(IterPtr it, BuildIterator(plan, db));
+    FF_ASSIGN_OR_RETURN(IterPtr it, BuildIterator(plan, db, nullptr, par));
     return Drain(*it);
   }
   profile->root = std::make_unique<obs::OperatorProfile>();
-  int64_t t0 = 0;
-  if constexpr (obs::kProfilingCompiledIn) t0 = obs::RuntimeNowNs();
-  FF_ASSIGN_OR_RETURN(IterPtr it,
-                      BuildIterator(plan, db, profile->root.get()));
-  FF_ASSIGN_OR_RETURN(ResultSet rs, Drain(*it));
+  const int64_t t0 = ProfileNowNs();
+  util::StatusOr<IterPtr> it =
+      BuildIterator(plan, db, profile->root.get(), par);
+  util::StatusOr<ResultSet> rs =
+      it.ok() ? Drain(**it) : util::StatusOr<ResultSet>(it.status());
+  profile->engine = HasParallelUnit(*profile->root) ? "parallel" : "serial";
   if constexpr (obs::kProfilingCompiledIn) {
     profile->total_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - t0);
   }
@@ -1084,8 +1298,7 @@ std::vector<Row> GroupedAgg::Finish(const Schema& out_schema) const {
 std::string NodeLabel(const PlanNode& plan) {
   switch (plan.kind()) {
     case PlanKind::kScan:
-    case PlanKind::kMaterialized:
-      return plan.ToString();  // leaves: ToString has no nested input
+      return plan.ToString();  // a leaf: ToString has no nested input
     case PlanKind::kFilter:
       return "Filter(" +
              static_cast<const FilterNode&>(plan).predicate->ToString() + ")";

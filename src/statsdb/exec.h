@@ -4,9 +4,13 @@
 // (pruning chunks via zone maps and serving equality predicates from hash
 // indexes), filters refine selection vectors, and pipeline breakers
 // (aggregate, sort, join, distinct) emit batches of exact Values. Plans
-// coming from Query/SQL run here after the planner pass (planner.h); the
-// morsel-parallel executor (parallel_exec.h) runs these same operators
-// per chunk.
+// coming from Query/SQL run here after the planner pass (planner.h).
+//
+// Morsel parallelism lives inside the operator tree: given a pool,
+// BuildIterator builds a Gather iterator where a scan chain can be split
+// by chunk, and the Gather runs one morsel per surviving chunk on the
+// pool, then yields the morsels' batches in chunk order: the serial
+// chain's own batch stream (parallel_exec.h states the contract).
 
 #ifndef FF_STATSDB_EXEC_H_
 #define FF_STATSDB_EXEC_H_
@@ -28,6 +32,7 @@ namespace statsdb {
 class ColumnStore;
 class Database;
 class Table;
+struct ParallelConfig;
 
 /// Pull-based batch stream. Next() returns nullptr at end of stream; the
 /// returned batch stays valid until the next call.
@@ -43,15 +48,29 @@ class BatchIterator {
 /// tree is grown under it (one child per plan input, labels always set)
 /// and — with FF_PROFILING compiled in — every iterator is wrapped to
 /// time Next() and count batches/rows; `prof` must outlive the iterator.
+///
+/// With a non-null `par`, whose `pool` must be set, every scan chain
+/// (Filter/Project over one Scan) that is drained in full and keeps at
+/// least max(2, par->min_chunks) chunks after the zone-map survey is
+/// built as a Gather over morsels run on `par->pool`: under an
+/// Aggregate (each morsel folds its own partial groups), a Distinct or
+/// a top-k Sort (each morsel runs its own copy, the operator above
+/// combines), a hash join or any other full consumer. A chain under a
+/// Limit with no pipeline breaker in between stays serial. Its profile
+/// node is "Parallel[aggregate|distinct|topk|collect]", under the
+/// operator it feeds, with the chain's per-morsel profiles merged in
+/// morsel order below it. Init errors surface here, in the serial
+/// engine's order, whether or not a chain fans out.
 util::StatusOr<std::unique_ptr<BatchIterator>> BuildIterator(
     const PlanNode& plan, const Database& db,
-    obs::OperatorProfile* prof = nullptr);
+    obs::OperatorProfile* prof = nullptr,
+    const ParallelConfig* par = nullptr);
 
-/// Coordinator-side scan preparation, shared across morsels by the
-/// parallel executor (parallel_exec.h). Building one performs all the
-/// allocation-heavy work a scan needs — table lookup, predicate
-/// analysis, the hash-index Lookup — exactly once; afterwards the setup
-/// is immutable and safe to read from any number of threads.
+/// Scan preparation, done once per scan chain and shared by every
+/// morsel of a Gather. Building one performs all the allocation-heavy
+/// work a scan needs — table lookup, predicate analysis, the hash-index
+/// Lookup — exactly once; afterwards the setup is immutable and safe to
+/// read from any number of threads.
 struct ScanSetup {
   const Table* table = nullptr;
   const ColumnStore* store = nullptr;
@@ -65,43 +84,28 @@ util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
                                       const Database& db);
 
 /// Chunk indices (ascending) that survive zone-map pruning and — on the
-/// index path — contain at least one index match. The parallel executor
-/// runs one morsel per entry; chunks absent from it are provably empty
-/// for the scan.
+/// index path — contain at least one index match. A Gather runs one
+/// morsel per entry; chunks absent from it are provably empty for the
+/// scan.
 std::vector<size_t> SurveyScanChunks(const ScanSetup& setup);
-
-/// Builds the iterator tree for `plan`, which must be a chain of
-/// Filter/Project nodes over one Scan leaf; the leaf is replaced by a
-/// scan of the single chunk `chunk` reusing the shared `setup`, which
-/// must outlive the iterator. The chain emits at most one batch.
-util::StatusOr<std::unique_ptr<BatchIterator>> BuildChainIterator(
-    const PlanNode& plan, const ScanSetup* setup, size_t chunk,
-    obs::OperatorProfile* prof = nullptr);
 
 /// Ascending ids of the rows of `table` that `SELECT * FROM table WHERE
 /// where` returns (every row when `where` is null), found by that
 /// SELECT's own scan: the planner's pushdown and index selection, then
-/// PrepareScan, SurveyScanChunks and one BuildChainIterator per
+/// PrepareScan, SurveyScanChunks and one single-chunk scan chain per
 /// surviving chunk. Fails exactly when that SELECT fails, with the same
 /// error. Serial. UPDATE and DELETE find their target rows here.
 util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
                                               const ExprPtr& where,
                                               const Database& db);
 
-/// Builds the operator iterator for the single-input node `plan` over an
-/// already-built `input` stream in place of the node's own input. The
-/// parallel executor runs a serial Distinct or top-k Sort this way, once
-/// per morsel and once more over the concatenated morsel outputs.
-util::StatusOr<std::unique_ptr<BatchIterator>> BuildIteratorOver(
-    const PlanNode& plan, std::unique_ptr<BatchIterator> input);
-
 /// Plan inputs in the order BuildIterator creates profile children:
 /// [0] = input (joins: [0] = left, [1] = right); leaves have none.
 std::vector<PlanPtr> PlanInputs(const PlanNode& plan);
 
 /// Grouped aggregation over mergeable partial states: the executor's one
-/// per-row aggregate loop, shared by the serial Aggregate operator and
-/// the parallel executor's morsels. Each input batch is folded into
+/// per-row aggregate loop, shared by the Aggregate operator and the
+/// morsels of a Gather under it. Each input batch is folded into
 /// fresh per-group partial states, which are then merged into the
 /// running groups (AggState::Merge); Merge() folds in another
 /// GroupedAgg's groups the same way. Groups keep first-seen order.
@@ -146,22 +150,19 @@ class GroupedAgg {
   std::vector<AggState> part_states_;
 };
 
-/// Pulls `it` to the end, appending every active row to `*out` and, when
-/// `batch_ends` is non-null, the size of `*out` after each non-empty
-/// batch (the input's batch boundaries, for MaterializedNode).
-util::Status DrainRows(BatchIterator& it, std::vector<Row>* out,
-                       std::vector<size_t>* batch_ends = nullptr);
-
 /// Pulls `it` to the end into a ResultSet with the iterator's schema.
 util::StatusOr<ResultSet> Drain(BatchIterator& it);
 
 /// Runs `plan` through the vectorized engine as-is (no planner pass) and
-/// materializes the result. A non-null `profile` gets the per-operator
-/// tree (profile->root) and profile->total_ns; the rows are the same,
-/// because the profiled iterators are pass-through observers.
+/// materializes the result: BuildIterator(plan, db, ..., par), then
+/// Drain. A non-null `profile` gets the per-operator tree
+/// (profile->root), profile->total_ns, and profile->engine: "parallel"
+/// when a Gather was built, else "serial". The rows are the same either
+/// way, because the profiled iterators are pass-through observers.
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
                                           const Database& db,
-                                          obs::QueryProfile* profile = nullptr);
+                                          obs::QueryProfile* profile = nullptr,
+                                          const ParallelConfig* par = nullptr);
 
 /// Node-local operator label for EXPLAIN output and operator profiles:
 /// the node's own parameters without its inputs (a Scan leaf keeps its

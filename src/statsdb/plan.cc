@@ -267,10 +267,6 @@ std::string HashJoinNode::ToString() const {
          left->ToString() + ", " + right->ToString() + ")";
 }
 
-std::string MaterializedNode::ToString() const {
-  return "Materialized(" + std::to_string(rows->size()) + " rows)";
-}
-
 // ------------------------------------------------------ schema inference
 
 util::StatusOr<Schema> InferSchema(const PlanNode& plan, const Database& db) {
@@ -313,8 +309,6 @@ util::StatusOr<Schema> InferSchema(const PlanNode& plan, const Database& db) {
       FF_ASSIGN_OR_RETURN(Schema r, InferSchema(*n.right, db));
       return JoinOutputSchema(l, r);
     }
-    case PlanKind::kMaterialized:
-      return static_cast<const MaterializedNode&>(plan).schema;
   }
   return util::Status::Internal("unhandled plan kind");
 }

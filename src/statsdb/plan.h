@@ -1,7 +1,7 @@
 // Concrete plan-node classes, shared between the predicate-pushdown
-// planner (planner.h), the vectorized executor (exec.h) and the parallel
-// executor (parallel_exec.h). Members are public so the planner can
-// rewrite trees and the executors can dispatch on PlanKind without RTTI.
+// planner (planner.h) and the executor (exec.h), serial or parallel.
+// Members are public so the planner can rewrite trees and the executor
+// can dispatch on PlanKind without RTTI.
 
 #ifndef FF_STATSDB_PLAN_H_
 #define FF_STATSDB_PLAN_H_
@@ -137,30 +137,6 @@ class HashJoinNode : public PlanNode {
   PlanPtr right;
   std::string left_col;
   std::string right_col;
-};
-
-/// Leaf node carrying already-computed rows (see PlanKind::kMaterialized).
-/// The rows are shared immutably so splicing one into a plan copies
-/// nothing.
-class MaterializedNode : public PlanNode {
- public:
-  MaterializedNode(Schema schema_in,
-                   std::shared_ptr<const std::vector<Row>> rows_in,
-                   std::vector<size_t> batch_ends_in = {})
-      : schema(std::move(schema_in)),
-        rows(std::move(rows_in)),
-        batch_ends(std::move(batch_ends_in)) {}
-
-  std::string ToString() const override;
-  PlanKind kind() const override { return PlanKind::kMaterialized; }
-
-  Schema schema;
-  std::shared_ptr<const std::vector<Row>> rows;
-  /// Ascending end offsets of the batches the vectorized engine streams
-  /// the rows as; empty = one batch. The parallel executor records the
-  /// batches of the serial pipeline a node replaces, so operators that
-  /// fold per batch (Aggregate) see the serial batching above it.
-  std::vector<size_t> batch_ends;
 };
 
 // ------------------------------------------------------- shared helpers

@@ -245,10 +245,6 @@ PlanPtr Push(const PlanPtr& node, std::vector<ExprPtr> pending,
                                         std::move(index_column),
                                         std::move(index_value));
     }
-
-    case PlanKind::kMaterialized:
-      // Pre-computed rows: nothing to push into.
-      return WrapFilter(pending, node);
   }
   return node;
 }

@@ -76,11 +76,6 @@ enum class PlanKind {
   kLimit,
   kDistinct,
   kHashJoin,
-  // Pre-computed rows injected by the parallel executor (parallel_exec.h):
-  // a parallel-executed subtree's merged result, spliced back into the
-  // plan so the remaining serial operators run unchanged above it. Never
-  // produced by the SQL front end or the planner.
-  kMaterialized,
 };
 
 /// Base class of logical plan nodes. A node only describes itself;

@@ -190,8 +190,6 @@ util::StatusOr<ResultSet> ExecuteRowOracle(const PlanNode& plan,
       FF_ASSIGN_OR_RETURN(ResultSet r, ExecuteRowOracle(*n.right, db));
       return HashJoin(n, std::move(l), std::move(r));
     }
-    case PlanKind::kMaterialized:
-      break;
   }
   return util::Status::Internal("row oracle: unsupported plan " +
                                 plan.ToString());

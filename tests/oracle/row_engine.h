@@ -8,8 +8,7 @@
 // are hints it ignores: a Sort always runs a full std::stable_sort (the
 // planner sets limit_hint only under a Limit, which then takes the same
 // prefix), and an index annotation never changes which rows a scan's
-// predicate keeps. MaterializedNode, which only the parallel executor
-// creates, is not supported.
+// predicate keeps.
 
 #ifndef FF_TESTS_ORACLE_ROW_ENGINE_H_
 #define FF_TESTS_ORACLE_ROW_ENGINE_H_

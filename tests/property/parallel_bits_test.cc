@@ -18,11 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "obs/runtime_stats.h"
 #include "parallel/thread_pool.h"
 #include "statsdb/cache.h"
 #include "statsdb/column_store.h"
 #include "statsdb/database.h"
+#include "statsdb/exec.h"
 #include "statsdb/parallel_exec.h"
+#include "statsdb/sql.h"
 #include "statsdb/table.h"
 #include "util/rng.h"
 
@@ -138,6 +141,18 @@ const char* const kCancelQueries[] = {
 
 uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
+/// The first node named `name` in `op`'s tree, depth first; null if none.
+const obs::OperatorProfile* FindOperator(const obs::OperatorProfile& op,
+                                         const std::string& name) {
+  if (op.name == name) return &op;
+  for (const auto& c : op.children) {
+    if (const obs::OperatorProfile* found = FindOperator(*c, name)) {
+      return found;
+    }
+  }
+  return nullptr;
+}
+
 class StatsDbParallelBitsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -151,10 +166,10 @@ class StatsDbParallelBitsTest : public ::testing::Test {
   /// Runs `sql` serially, then in parallel at pools 1/4/16, and requires
   /// the same schema, row order and cell bits. With `fans_out` (the scan
   /// keeps two or more chunks) the 4- and 16-thread runs must really run
-  /// morsels.
+  /// morsels: their profiled run reports the parallel engine.
   void ExpectBitIdentical(const std::string& sql, bool fans_out = true) {
     ParallelConfig serial;
-    serial.enabled = false;
+    serial.max_threads = 1;
     db_.set_parallel_config(serial);
     auto base = db_.Sql(sql);
     ASSERT_TRUE(base.ok()) << sql << "\n" << base.status().ToString();
@@ -167,19 +182,19 @@ class StatsDbParallelBitsTest : public ::testing::Test {
     const Variant variants[] = {{1, nullptr}, {4, &pool4_}, {16, &pool16_}};
     for (const Variant& var : variants) {
       SCOPED_TRACE(sql + "\nthreads=" + std::to_string(var.threads));
-      size_t fanouts = 0;
       ParallelConfig cfg;
       cfg.max_threads = var.threads;
       cfg.min_chunks = 2;
       cfg.pool = var.pool;
-      cfg.morsel_hook = [&](const char*, const std::vector<MorselStat>&) {
-        ++fanouts;
-      };
       db_.set_parallel_config(cfg);
       auto par = db_.Sql(sql);
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       if (fans_out && var.threads > 1) {
-        EXPECT_GT(fanouts, 0u);
+        auto plan = PlanSql(sql);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        obs::QueryProfile profile;
+        ASSERT_TRUE(ExecutePlan(*plan, db_, &profile).ok());
+        EXPECT_EQ(profile.engine, "parallel");
       }
 
       ASSERT_EQ(base->schema.num_columns(), par->schema.num_columns());
@@ -235,8 +250,9 @@ TEST_F(StatsDbParallelBitsTest, CancellationAcrossChunksIsBitIdentical) {
 }
 
 TEST_F(StatsDbParallelBitsTest, MorselRowsCountChainRowsForEveryOp) {
-  // MorselStat::rows is what each morsel's chain emitted, whatever the
-  // op does with it: over an unfiltered scan they add up to the table.
+  // The chain under each Parallel[<op>] node counts what the morsels'
+  // chains emitted, whatever the op does with it: over an unfiltered
+  // scan that adds up to the table.
   const std::pair<const char*, const char*> cases[] = {
       {"aggregate", "SELECT grp, COUNT(*) AS c FROM t8193 GROUP BY grp"},
       {"distinct", "SELECT DISTINCT tag FROM t8193"},
@@ -247,25 +263,57 @@ TEST_F(StatsDbParallelBitsTest, MorselRowsCountChainRowsForEveryOp) {
   const size_t table_rows[] = {8193, 8193, 8193, 3 * kChunkRows};
   for (size_t i = 0; i < std::size(cases); ++i) {
     SCOPED_TRACE(cases[i].second);
-    std::vector<std::pair<std::string, size_t>> units;
     ParallelConfig cfg;
     cfg.max_threads = 4;
     cfg.min_chunks = 2;
     cfg.pool = &pool4_;
-    cfg.morsel_hook = [&](const char* op, const std::vector<MorselStat>& st) {
-      size_t rows = 0;
-      for (const MorselStat& m : st) rows += m.rows;
-      units.emplace_back(op, rows);
-    };
     db_.set_parallel_config(cfg);
-    ASSERT_TRUE(db_.Sql(cases[i].second).ok());
-    bool found = false;
-    for (const auto& [op, rows] : units) {
-      if (op != cases[i].first) continue;
-      found = true;
-      EXPECT_EQ(rows, table_rows[i]);
+    auto plan = PlanSql(cases[i].second);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    obs::QueryProfile profile;
+    ASSERT_TRUE(ExecutePlan(*plan, db_, &profile).ok());
+    ASSERT_NE(profile.root, nullptr);
+    const obs::OperatorProfile* unit = FindOperator(
+        *profile.root, std::string("Parallel[") + cases[i].first + "]");
+    ASSERT_NE(unit, nullptr) << profile.Render();
+    ASSERT_EQ(unit->children.size(), 1u) << profile.Render();
+    if constexpr (obs::kProfilingCompiledIn) {
+      EXPECT_EQ(unit->children[0]->rows_out, table_rows[i])
+          << profile.Render();
     }
-    EXPECT_TRUE(found);
+  }
+}
+
+TEST_F(StatsDbParallelBitsTest, MorselsRunOnlyWhenTheOperatorAbovePulls) {
+  // LIMIT 0 never pulls its input, so the serial engine never meets the
+  // division by zero below it, and neither may the parallel engine: each
+  // chain here is drained in full (under an aggregate, a full sort, a
+  // DISTINCT, a join's build side) and fans out, but only when pulled.
+  const char* const queries[] = {
+      "SELECT SUM(id / 0) AS s FROM t8193 LIMIT 0",
+      "SELECT id / 0 AS x FROM t8193 ORDER BY x LIMIT 0",
+      "SELECT DISTINCT id / 0 AS x FROM t8193 LIMIT 0",
+      "SELECT label FROM parity JOIN cancel ON k = g WHERE g / 0 > 1 "
+      "LIMIT 0",
+  };
+  struct Variant {
+    size_t threads;
+    parallel::ThreadPool* pool;
+  };
+  const Variant variants[] = {{1, nullptr}, {4, &pool4_}, {16, &pool16_}};
+  for (const char* sql : queries) {
+    for (const Variant& var : variants) {
+      SCOPED_TRACE(std::string(sql) +
+                   "\nthreads=" + std::to_string(var.threads));
+      ParallelConfig cfg;
+      cfg.max_threads = var.threads;
+      cfg.min_chunks = 2;
+      cfg.pool = var.pool;
+      db_.set_parallel_config(cfg);
+      auto rs = db_.Sql(sql);
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_TRUE(rs->rows.empty());
+    }
   }
 }
 

@@ -58,7 +58,7 @@ class StatsDbPropertyTest : public ::testing::Test {
   void ExpectParallelByteIdentical(const PlanPtr& plan,
                                    const std::string& sql) {
     ParallelConfig serial;
-    serial.enabled = false;
+    serial.max_threads = 1;
     db_.set_parallel_config(serial);
     auto base = ExecutePlan(plan, db_);
     struct Variant {

@@ -67,7 +67,7 @@ class WireEquivalence {
     // change a byte.
     ref_.set_cache_config(CacheConfig{});
     ParallelConfig serial;
-    serial.enabled = false;
+    serial.max_threads = 1;
     ref_.set_parallel_config(serial);
 
     if (chaos_) {

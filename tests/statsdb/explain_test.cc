@@ -51,7 +51,7 @@ class ExplainTest : public ::testing::Test {
     ASSERT_TRUE(app.Finish().ok());
     // Deterministic engine choice per test: serial unless opted in.
     ParallelConfig cfg;
-    cfg.enabled = false;
+    cfg.max_threads = 1;
     db_.set_parallel_config(cfg);
     // Likewise pin the cache off (FF_STATSDB_CACHE may say otherwise in
     // CI smoke lanes); cache-specific tests opt in explicitly.
