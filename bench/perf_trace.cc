@@ -27,7 +27,10 @@
 // reference (tests/oracle/chrome_trace_oracle.h) after one warm-up
 // call each, reps interleaved, min of kReps with the spread as a noise
 // percentage. Every call of both must produce the same bytes (same
-// Fingerprint64 and size), or the bench exits 1.
+// Fingerprint64 and size), or the bench exits 1. Each row records
+// export_threads, the threads the production exporter formats that
+// recording on (obs::ExportThreads; blocks of obs::kExportBlockEvents),
+// beside the file's hw.
 //
 // Output: labelled CSV on stdout and BENCH_trace.json (path = argv[1]
 // or ./BENCH_trace.json).
@@ -184,6 +187,7 @@ std::vector<Point> MeasureAllModes(const std::string& workload, int n,
 // printf reference on the same recording.
 struct ExportPoint {
   std::string format;
+  size_t threads = 1;  // obs::ExportThreads of the formatted events
   size_t bytes = 0;
   uint64_t digest = 0;
   bool stable = true;  // every rep of both exporters gave these bytes
@@ -232,6 +236,10 @@ std::vector<ExportPoint> MeasureExport(const obs::TraceRecorder& trace,
   std::vector<ExportPoint> pts(2);
   pts[0].format = "chrome_json";
   pts[1].format = "metrics_csv";
+  pts[0].threads = obs::ExportThreads(trace.spans().size() +
+                                      trace.instants().size() +
+                                      metrics.samples().size());
+  pts[1].threads = obs::ExportThreads(metrics.samples().size());
   auto csv = [&metrics] {
     std::ostringstream out;
     obs::WriteMetricSamplesCsv(metrics, &out);
@@ -262,12 +270,14 @@ std::string ExportJson(const ExportPoint& p) {
   char buf[640];
   std::snprintf(
       buf, sizeof(buf),
-      "      {\"format\": \"%s\", \"bytes\": %zu, \"digest\": \"%016llx\", "
+      "      {\"format\": \"%s\", \"export_threads\": %zu, \"bytes\": %zu, "
+      "\"digest\": \"%016llx\", "
       "\"stable\": %s, \"wall_ms\": %.3f, \"wall_ms_max\": %.3f, "
       "\"mb_per_s\": %.1f, \"noise_pct\": %.2f, \"ref_wall_ms\": %.3f, "
       "\"ref_wall_ms_max\": %.3f, \"ref_mb_per_s\": %.1f, "
       "\"ref_noise_pct\": %.2f, \"speedup_vs_ref\": %.2f}",
-      p.format.c_str(), p.bytes, static_cast<unsigned long long>(p.digest),
+      p.format.c_str(), p.threads, p.bytes,
+      static_cast<unsigned long long>(p.digest),
       p.stable ? "true" : "false", p.fast.wall_ms, p.fast.wall_ms_max,
       p.MbPerS(p.fast), p.fast.noise_pct(), p.ref.wall_ms, p.ref.wall_ms_max,
       p.MbPerS(p.ref), p.ref.noise_pct(),
@@ -343,12 +353,14 @@ int main(int argc, char** argv) {
   std::vector<ExportPoint> exports = MeasureExport(trace, metrics);
   bool exports_stable = true;
   std::string export_rows;
-  std::printf("\nexport,bytes,wall_ms,mb_per_s,noise_pct,ref_wall_ms,"
-              "ref_mb_per_s,ref_noise_pct,speedup_vs_ref,stable\n");
+  std::printf("\nexport,export_threads,bytes,wall_ms,mb_per_s,noise_pct,"
+              "ref_wall_ms,ref_mb_per_s,ref_noise_pct,speedup_vs_ref,"
+              "stable\n");
   for (const ExportPoint& p : exports) {
     exports_stable = exports_stable && p.stable;
-    std::printf("%s,%zu,%.3f,%.1f,%.2f,%.3f,%.1f,%.2f,%.2f,%s\n",
-                p.format.c_str(), p.bytes, p.fast.wall_ms, p.MbPerS(p.fast),
+    std::printf("%s,%zu,%zu,%.3f,%.1f,%.2f,%.3f,%.1f,%.2f,%.2f,%s\n",
+                p.format.c_str(), p.threads, p.bytes, p.fast.wall_ms,
+                p.MbPerS(p.fast),
                 p.fast.noise_pct(), p.ref.wall_ms, p.MbPerS(p.ref),
                 p.ref.noise_pct(), p.ref.wall_ms / p.fast.wall_ms,
                 p.stable ? "yes" : "NO");
@@ -371,13 +383,15 @@ int main(int argc, char** argv) {
                "  \"runtime\": %s,\n"
                "  \"results\": [\n%s\n  ],\n"
                "  \"export\": {\n"
+               "    \"hw\": %u,\n"
                "    \"recording\": {\"workload\": \"replenish\", "
                "\"n_jobs\": %d, \"spans\": %zu, \"samples\": %zu},\n"
                "    \"results\": [\n%s\n    ]\n  }\n}\n",
                obs::kTracingCompiledIn ? "true" : "false",
                std::thread::hardware_concurrency(), kReps, noise_pct,
                max_overhead_full, bench::RuntimePoolJson(nullptr).c_str(),
-               json_rows.c_str(), kScales.back(), trace.spans().size(),
+               json_rows.c_str(), std::thread::hardware_concurrency(),
+               kScales.back(), trace.spans().size(),
                metrics.samples().size(), export_rows.c_str());
   std::fclose(f);
   std::printf("# wrote %s (max full-tracing overhead %.2f%%, "

@@ -309,23 +309,6 @@ void BM_Fleet_TopKWalltimeParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_Fleet_TopKWalltimeParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Parallel bulk ingest: record-to-row conversion fans out over slices,
-// the BulkAppender drains them in order (loader.h). 365k records.
-void BM_LoadRunsParallel(benchmark::State& state) {
-  auto records = MakeRecords(1000, 365);
-  size_t threads = static_cast<size_t>(state.range(0));
-  parallel::ThreadPool pool(threads);
-  for (auto _ : state) {
-    statsdb::Database db;
-    auto table =
-        logdata::LoadRuns(&db, records, threads > 1 ? &pool : nullptr);
-    benchmark::DoNotOptimize(table.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_LoadRunsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_Spans_SlowTasks(benchmark::State& state) {
   auto* db = SpansDb();
   for (auto _ : state) {

@@ -1,9 +1,5 @@
 #include "logdata/loader.h"
 
-#include <algorithm>
-
-#include "parallel/thread_pool.h"
-
 namespace ff {
 namespace logdata {
 
@@ -49,54 +45,21 @@ Row RecordToRow(const LogRecord& r) {
   };
 }
 
-// Below this, slicing overhead beats the conversion work saved.
-constexpr size_t kParallelLoadMinRecords = 4096;
-
 }  // namespace
 
 util::StatusOr<Table*> LoadRuns(statsdb::Database* db,
-                                const std::vector<LogRecord>& records,
-                                parallel::ThreadPool* pool) {
+                                const std::vector<LogRecord>& records) {
   if (db->HasTable(kRunsTable)) {
     FF_RETURN_IF_ERROR(db->DropTable(kRunsTable));
   }
   FF_ASSIGN_OR_RETURN(Table * table, db->CreateTable(kRunsTable,
                                                      RunsSchema()));
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      records.size() >= kParallelLoadMinRecords) {
-    // Convert fixed record slices to rows in parallel (slice boundaries
-    // depend only on the record count, never on worker scheduling), then
-    // drain the buffers in slice order under the single writer. Same
-    // bytes in the table as the inline path below.
-    const size_t slice = kParallelLoadMinRecords / 4;
-    const size_t num_slices = (records.size() + slice - 1) / slice;
-    std::vector<std::vector<Row>> buffers(num_slices);
-    parallel::TaskGroup group(pool);
-    group.ParallelFor(num_slices, [&](size_t s) {
-      size_t begin = s * slice;
-      size_t end = std::min(begin + slice, records.size());
-      buffers[s].reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        buffers[s].push_back(RecordToRow(records[i]));
-      }
-    });
-    Table::BulkAppender app(table);
-    app.Reserve(records.size());
-    for (const auto& buf : buffers) {
-      for (const Row& row : buf) {
-        for (const Value& v : row) app.Cell(v);
-        FF_RETURN_IF_ERROR(app.EndRow());
-      }
-    }
-    FF_RETURN_IF_ERROR(app.Finish());
-  } else {
-    // Bulk columnar append: cells go straight into the typed column
-    // vectors, skipping per-row Row construction and validation.
-    Table::BulkAppender app(table);
-    app.Reserve(records.size());
-    for (const auto& r : records) FF_RETURN_IF_ERROR(AppendRunCells(app, r));
-    FF_RETURN_IF_ERROR(app.Finish());
-  }
+  // Bulk columnar append: cells go straight into the typed column
+  // vectors, skipping per-row Row construction and validation.
+  Table::BulkAppender app(table);
+  app.Reserve(records.size());
+  for (const auto& r : records) FF_RETURN_IF_ERROR(AppendRunCells(app, r));
+  FF_RETURN_IF_ERROR(app.Finish());
   FF_RETURN_IF_ERROR(table->CreateIndex("forecast"));
   FF_RETURN_IF_ERROR(table->CreateIndex("code_version"));
   FF_RETURN_IF_ERROR(table->CreateIndex("node"));

@@ -11,10 +11,6 @@
 #include "statsdb/database.h"
 
 namespace ff {
-namespace parallel {
-class ThreadPool;
-}  // namespace parallel
-
 namespace logdata {
 
 /// Name and schema of the runs table.
@@ -28,16 +24,8 @@ statsdb::Schema RunsSchema();
 
 /// Creates (or replaces) the runs table from `records` and indexes the
 /// columns the paper queries by (forecast, code_version, node).
-///
-/// With a pool, record-to-cell conversion (string formatting, Value
-/// boxing) fans out across fixed record slices via a TaskGroup; the
-/// BulkAppender then drains the slice buffers in slice order on the
-/// calling thread, preserving statsdb's single-writer rule. Table
-/// contents are byte-identical to the serial path regardless of pool
-/// size. Null pool (or a 1-thread pool, or a small batch) loads inline.
 util::StatusOr<statsdb::Table*> LoadRuns(
-    statsdb::Database* db, const std::vector<LogRecord>& records,
-    parallel::ThreadPool* pool = nullptr);
+    statsdb::Database* db, const std::vector<LogRecord>& records);
 
 /// Appends `record` to the row `app` is building as the RunsSchema()
 /// cells, in order, after any cells the caller put first (the sweep's

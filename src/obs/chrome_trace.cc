@@ -1,9 +1,14 @@
 #include "obs/chrome_trace.h"
 
+#include <algorithm>
 #include <charconv>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string_view>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "util/logging.h"
@@ -100,6 +105,96 @@ struct SpanArgIndex {
   }
 };
 
+/// Appends `format`'s bytes for events [0, n) to `sink`, in event order,
+/// one block of kExportBlockEvents events at a time. `format(begin, end,
+/// buf)` appends events [begin, end) to *buf and reads only state that
+/// stays constant for the whole call; `sink` runs on the calling thread.
+/// With ExportThreads(n) > 1, that many workers claim blocks in order and
+/// format block b into slot b % ring of a ring of reused buffers once the
+/// caller has handed block b - ring to the sink. The caller sinks blocks
+/// in order and formats block 0 and any block no worker has claimed yet,
+/// so with no workers (one block, or one hardware thread) it formats
+/// every block itself.
+void FormatBlocks(
+    size_t n, const std::function<void(size_t, size_t, std::string*)>& format,
+    const std::function<void(std::string_view)>& sink) {
+  const size_t blocks = (n + kExportBlockEvents - 1) / kExportBlockEvents;
+  const size_t threads = ExportThreads(n);
+  // One cache line per slot header: workers append to different slots
+  // at once, and a shared line would bounce on every append.
+  struct alignas(64) Slot {
+    std::string bytes;
+    size_t ready = 0;  // block + 1 of the bytes, 0 = none; guarded by mu
+  };
+  const size_t ring = 2 * threads;
+  std::vector<Slot> slots(ring);
+  auto format_block = [&](size_t b) {
+    std::string& bytes = slots[b % ring].bytes;
+    bytes.clear();
+    format(b * kExportBlockEvents, std::min(n, (b + 1) * kExportBlockEvents),
+           &bytes);
+  };
+
+  // The caller formats block 0 before any worker starts and sizes every
+  // slot from it, so workers seldom allocate: a new thread's allocations
+  // would land in a malloc arena of its own and stay resident there.
+  format_block(0);
+  slots[0].ready = 1;
+  for (Slot& slot : slots) slot.bytes.reserve(2 * slots[0].bytes.size());
+
+  std::mutex mu;
+  std::condition_variable formatted;  // a slot's `ready` was set
+  std::condition_variable freed;      // `sunk` grew
+  size_t next = 1;                    // first block nobody has claimed
+  size_t sunk = 0;                    // blocks handed to the sink
+  bool stop = false;                  // the caller is unwinding
+  auto work = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    while (!stop && next < blocks) {
+      const size_t b = next++;
+      freed.wait(lock, [&] { return stop || b < sunk + ring; });
+      if (stop) return;
+      lock.unlock();
+      format_block(b);
+      lock.lock();
+      slots[b % ring].ready = b + 1;
+      formatted.notify_one();
+    }
+  };
+  std::vector<std::thread> workers;
+  try {
+    const size_t num_workers = threads > 1 ? threads : 0;
+    for (size_t t = 0; t < num_workers; ++t) workers.emplace_back(work);
+    for (size_t b = 0; b < blocks; ++b) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (next == b) {
+        next = b + 1;
+        lock.unlock();
+        format_block(b);
+      } else {
+        formatted.wait(lock, [&] { return slots[b % ring].ready == b + 1; });
+        lock.unlock();
+      }
+      sink(slots[b % ring].bytes);
+      lock.lock();
+      sunk = b + 1;
+      lock.unlock();
+      freed.notify_all();
+    }
+  } catch (...) {
+    // A thread that would not start, or a throwing sink or format: the
+    // workers stop claiming and waiting, and are joined before unwinding.
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    freed.notify_all();
+    for (std::thread& w : workers) w.join();
+    throw;
+  }
+  for (std::thread& w : workers) w.join();
+}
+
 /// Appends one recorder's metadata + spans + instants (+ counters, when
 /// `counters` is not null) under a fixed process id. `first` is true for
 /// the first process in the traceEvents array.
@@ -111,6 +206,14 @@ void AppendProcessEvents(const TraceRecorder& trace,
   std::vector<std::string> esc(trace.num_strings());
   for (size_t id = 0; id < esc.size(); ++id) {
     AppendJsonEscaped(&esc[id], trace.str(static_cast<StrId>(id)));
+  }
+  std::vector<std::string> metric_esc;
+  if (counters != nullptr) {
+    metric_esc.resize(counters->num_metric_names());
+    for (size_t m = 0; m < metric_esc.size(); ++m) {
+      AppendJsonEscaped(&metric_esc[m],
+                        counters->metric_name(static_cast<uint32_t>(m)));
+    }
   }
 
   // Lane numbering: one tid per distinct track string, in first-use
@@ -126,102 +229,113 @@ void AppendProcessEvents(const TraceRecorder& trace,
   for (const auto& i : trace.instants()) add_lane(i.track);
 
   const size_t num_spans = trace.spans().size();
+  const size_t num_instants = trace.instants().size();
   const SpanArgIndex<NumArgRecord> nums(trace.num_args(), num_spans);
   const SpanArgIndex<StrArgRecord> strs(trace.str_args(), num_spans);
 
-  // Every event opens with its separator, phase, pid and tid; the first
-  // event of the document has no comma before it.
+  // Every event opens with its separator, phase, pid and tid; only the
+  // document's first event, the process metadata, has no comma before it.
   std::string pid_str;
   AppendInt(&pid_str, pid);
-  std::string_view sep = first ? "\n" : ",\n";
-  auto begin_event = [&](char ph, uint64_t lane) {
-    out->append(sep);
-    sep = ",\n";
-    out->append("{\"ph\":\"");
-    out->push_back(ph);
-    out->append("\",\"pid\":");
-    out->append(pid_str);
-    out->append(",\"tid\":");
-    AppendInt(out, lane);
+  auto begin_event = [&](std::string* o, char ph, uint64_t lane,
+                         std::string_view sep = ",\n") {
+    o->append(sep);
+    o->append("{\"ph\":\"");
+    o->push_back(ph);
+    o->append("\",\"pid\":");
+    o->append(pid_str);
+    o->append(",\"tid\":");
+    AppendInt(o, lane);
   };
-  auto num_arg = [&](StrId key, double value) {
-    out->append(",\"");
-    out->append(esc[key]);
-    out->append("\":");
-    AppendNum(out, value);
+  auto num_arg = [&](std::string* o, StrId key, double value) {
+    o->append(",\"");
+    o->append(esc[key]);
+    o->append("\":");
+    AppendNum(o, value);
   };
 
-  begin_event('M', 0);
+  begin_event(out, 'M', 0, first ? "\n" : ",\n");
   out->append(",\"name\":\"process_name\",\"args\":{\"name\":\"");
   AppendJsonEscaped(out, process_name);
   out->append("\"}}");
   for (size_t i = 0; i < lanes.size(); ++i) {
-    begin_event('M', i + 1);
+    begin_event(out, 'M', i + 1);
     out->append(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
     out->append(esc[lanes[i]]);
     out->append("\"}}");
   }
 
-  for (size_t i = 0; i < num_spans; ++i) {
+  auto append_span = [&](std::string* o, size_t i) {
     const SpanRecord& s = trace.spans()[i];
     const SpanId id = static_cast<SpanId>(i + 1);
     const double end = s.end < 0.0 ? s.start : s.end;
-    begin_event('X', tid[s.track]);
-    out->append(",\"cat\":\"");
-    out->append(SpanCategoryName(s.category));
-    out->append("\",\"name\":\"");
-    out->append(esc[s.name]);
-    out->append("\",\"ts\":");
-    AppendUs(out, s.start);
-    out->append(",\"dur\":");
-    AppendUs(out, end - s.start);
-    out->append(",\"args\":{\"span_id\":");
-    AppendInt(out, id);
-    out->append(",\"parent_id\":");
-    AppendInt(out, s.parent);
-    if (s.arg_key != 0) num_arg(s.arg_key, s.arg_value);
-    if (s.flags & kSpanFlagRemoved) out->append(",\"removed\":1");
+    begin_event(o, 'X', tid[s.track]);
+    o->append(",\"cat\":\"");
+    o->append(SpanCategoryName(s.category));
+    o->append("\",\"name\":\"");
+    o->append(esc[s.name]);
+    o->append("\",\"ts\":");
+    AppendUs(o, s.start);
+    o->append(",\"dur\":");
+    AppendUs(o, end - s.start);
+    o->append(",\"args\":{\"span_id\":");
+    AppendInt(o, id);
+    o->append(",\"parent_id\":");
+    AppendInt(o, s.parent);
+    if (s.arg_key != 0) num_arg(o, s.arg_key, s.arg_value);
+    if (s.flags & kSpanFlagRemoved) o->append(",\"removed\":1");
     for (size_t k = nums.offset[id]; k < nums.offset[id + 1]; ++k) {
-      num_arg(nums.recs[k]->key, nums.recs[k]->value);
+      num_arg(o, nums.recs[k]->key, nums.recs[k]->value);
     }
     for (size_t k = strs.offset[id]; k < strs.offset[id + 1]; ++k) {
-      out->append(",\"");
-      out->append(esc[strs.recs[k]->key]);
-      out->append("\":\"");
-      out->append(esc[strs.recs[k]->value]);
-      out->push_back('"');
+      o->append(",\"");
+      o->append(esc[strs.recs[k]->key]);
+      o->append("\":\"");
+      o->append(esc[strs.recs[k]->value]);
+      o->push_back('"');
     }
-    out->append("}}");
-  }
+    o->append("}}");
+  };
+  auto append_instant = [&](std::string* o, size_t i) {
+    const InstantRecord& ev = trace.instants()[i];
+    begin_event(o, 'i', tid[ev.track]);
+    o->append(",\"cat\":\"");
+    o->append(SpanCategoryName(ev.category));
+    o->append("\",\"name\":\"");
+    o->append(esc[ev.name]);
+    o->append("\",\"ts\":");
+    AppendUs(o, ev.time);
+    o->append(",\"s\":\"t\"}");
+  };
+  auto append_counter = [&](std::string* o, size_t i) {
+    const MetricSample& s = counters->samples()[i];
+    begin_event(o, 'C', 0);
+    o->append(",\"name\":\"");
+    o->append(metric_esc[s.metric]);
+    o->append("\",\"ts\":");
+    AppendUs(o, s.time);
+    o->append(",\"args\":{\"value\":");
+    AppendNum(o, s.value);
+    o->append("}}");
+  };
 
-  for (const auto& ev : trace.instants()) {
-    begin_event('i', tid[ev.track]);
-    out->append(",\"cat\":\"");
-    out->append(SpanCategoryName(ev.category));
-    out->append("\",\"name\":\"");
-    out->append(esc[ev.name]);
-    out->append("\",\"ts\":");
-    AppendUs(out, ev.time);
-    out->append(",\"s\":\"t\"}");
-  }
-
-  if (counters != nullptr) {
-    std::vector<std::string> metric_esc(counters->num_metric_names());
-    for (size_t m = 0; m < metric_esc.size(); ++m) {
-      AppendJsonEscaped(&metric_esc[m],
-                        counters->metric_name(static_cast<uint32_t>(m)));
-    }
-    for (const auto& s : counters->samples()) {
-      begin_event('C', 0);
-      out->append(",\"name\":\"");
-      out->append(metric_esc[s.metric]);
-      out->append("\",\"ts\":");
-      AppendUs(out, s.time);
-      out->append(",\"args\":{\"value\":");
-      AppendNum(out, s.value);
-      out->append("}}");
-    }
-  }
+  // Events in one index space: spans, then instants, then counters.
+  const size_t num_counters =
+      counters != nullptr ? counters->samples().size() : 0;
+  FormatBlocks(
+      num_spans + num_instants + num_counters,
+      [&](size_t begin, size_t end, std::string* o) {
+        for (size_t i = begin; i < end; ++i) {
+          if (i < num_spans) {
+            append_span(o, i);
+          } else if (i < num_spans + num_instants) {
+            append_instant(o, i - num_spans);
+          } else {
+            append_counter(o, i - num_spans - num_instants);
+          }
+        }
+      },
+      [out](std::string_view block) { out->append(block); });
 }
 
 /// Generous byte estimate of one recorder's events, so the document is
@@ -235,7 +349,20 @@ size_t EstimateJsonBytes(const TraceRecorder& trace,
   return n;
 }
 
+/// Writes whole blocks to `out`.
+auto StreamSink(std::ostream* out) {
+  return [out](std::string_view block) {
+    out->write(block.data(), static_cast<std::streamsize>(block.size()));
+  };
+}
+
 }  // namespace
+
+size_t ExportThreads(size_t events) {
+  const size_t blocks = (events + kExportBlockEvents - 1) / kExportBlockEvents;
+  const size_t hw = std::thread::hardware_concurrency();
+  return blocks <= 1 || hw <= 1 ? 1 : std::min(hw, blocks);
+}
 
 std::string ChromeTraceJson(const TraceRecorder& trace,
                             const MetricsRegistry* metrics,
@@ -261,47 +388,54 @@ std::string ChromeTraceJson(const TraceRecorder& trace,
 }
 
 void WriteSpansCsv(const TraceRecorder& trace, std::ostream* out) {
-  std::string buf;
-  buf.reserve(64 + 96 * trace.spans().size());
-  buf.append("span_id,parent_id,category,name,track,start_s,end_s,"
-             "duration_s\n");
-  for (size_t i = 0; i < trace.spans().size(); ++i) {
-    const SpanRecord& s = trace.spans()[i];
-    const double end = s.end < 0.0 ? s.start : s.end;
-    AppendInt(&buf, i + 1);
-    buf.push_back(',');
-    AppendInt(&buf, s.parent);
-    buf.push_back(',');
-    buf.append(SpanCategoryName(s.category));
-    buf.push_back(',');
-    buf.append(trace.str(s.name));
-    buf.push_back(',');
-    buf.append(trace.str(s.track));
-    buf.push_back(',');
-    AppendSeconds(&buf, s.start);
-    buf.push_back(',');
-    AppendSeconds(&buf, end);
-    buf.push_back(',');
-    AppendSeconds(&buf, end - s.start);
-    buf.push_back('\n');
-  }
-  out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  static constexpr std::string_view kHeader =
+      "span_id,parent_id,category,name,track,start_s,end_s,duration_s\n";
+  out->write(kHeader.data(), kHeader.size());
+  FormatBlocks(
+      trace.spans().size(),
+      [&](size_t begin, size_t end, std::string* buf) {
+        for (size_t i = begin; i < end; ++i) {
+          const SpanRecord& s = trace.spans()[i];
+          const double end_s = s.end < 0.0 ? s.start : s.end;
+          AppendInt(buf, i + 1);
+          buf->push_back(',');
+          AppendInt(buf, s.parent);
+          buf->push_back(',');
+          buf->append(SpanCategoryName(s.category));
+          buf->push_back(',');
+          buf->append(trace.str(s.name));
+          buf->push_back(',');
+          buf->append(trace.str(s.track));
+          buf->push_back(',');
+          AppendSeconds(buf, s.start);
+          buf->push_back(',');
+          AppendSeconds(buf, end_s);
+          buf->push_back(',');
+          AppendSeconds(buf, end_s - s.start);
+          buf->push_back('\n');
+        }
+      },
+      StreamSink(out));
 }
 
 void WriteMetricSamplesCsv(const MetricsRegistry& metrics,
                            std::ostream* out) {
-  std::string buf;
-  buf.reserve(32 + 64 * metrics.samples().size());
-  buf.append("time_s,metric,value\n");
-  for (const auto& s : metrics.samples()) {
-    AppendSeconds(&buf, s.time);
-    buf.push_back(',');
-    buf.append(metrics.metric_name(s.metric));
-    buf.push_back(',');
-    AppendDouble(&buf, s.value, std::chars_format::general, 9);
-    buf.push_back('\n');
-  }
-  out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  static constexpr std::string_view kHeader = "time_s,metric,value\n";
+  out->write(kHeader.data(), kHeader.size());
+  FormatBlocks(
+      metrics.samples().size(),
+      [&](size_t begin, size_t end, std::string* buf) {
+        for (size_t i = begin; i < end; ++i) {
+          const MetricSample& s = metrics.samples()[i];
+          AppendSeconds(buf, s.time);
+          buf->push_back(',');
+          buf->append(metrics.metric_name(s.metric));
+          buf->push_back(',');
+          AppendDouble(buf, s.value, std::chars_format::general, 9);
+          buf->push_back('\n');
+        }
+      },
+      StreamSink(out));
 }
 
 }  // namespace obs

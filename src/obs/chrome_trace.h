@@ -26,10 +26,28 @@
 // included, pass through. CSV names and tracks are written unescaped.
 // A test-only printf reference (tests/oracle/chrome_trace_oracle.h)
 // checks all of this byte for byte.
+//
+// Blocks and threads. Each exporter formats its events (JSON spans,
+// instants and counters of one process, in that order; CSV rows) in
+// blocks of kExportBlockEvents consecutive events and appends the
+// blocks in event order. A block's bytes depend only on its events and
+// on tables built once before formatting starts (escaped strings, lane
+// tids, span args), never on the thread count or the host: after the
+// process metadata every JSON event begins with ",\n", so a block needs
+// nothing from the block before it. Output is the same bytes on any
+// number of threads. A call whose events fill more than one block starts
+// ExportThreads(events) worker threads of its own, joined before it
+// returns; they format blocks into a ring of 2 x threads reused buffers
+// while the calling thread appends finished blocks in order. The memory
+// beyond the output is that ring, each buffer reserved at twice the
+// first block's bytes (~210 KB for a block of the sweep's JSON spans, so
+// ~3.4 MB on 4 threads). A single block, or a one-thread host, is
+// formatted by the calling thread alone, through the same code.
 
 #ifndef FF_OBS_CHROME_TRACE_H_
 #define FF_OBS_CHROME_TRACE_H_
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 
@@ -38,6 +56,14 @@
 
 namespace ff {
 namespace obs {
+
+/// Events per formatting block (see "Blocks and threads" above).
+inline constexpr size_t kExportBlockEvents = 1024;
+
+/// Threads that format `events` events: 1 (the calling thread alone) for
+/// at most one block or on a one-thread host, else
+/// min(std::thread::hardware_concurrency(), number of blocks).
+size_t ExportThreads(size_t events);
 
 struct ChromeTraceOptions {
   /// The "process_name" metadata shown by the viewer.

@@ -1,8 +1,8 @@
 // Differential tests: the one-buffer, to_chars exporters
 // (obs/chrome_trace.h) against the ostringstream/printf reference
 // (tests/oracle/chrome_trace_oracle.h), byte for byte, on edge values,
-// hostile strings, out-of-order span args, a second process and a real
-// 32-replica sweep recording.
+// hostile strings, out-of-order span args, a second process, block edges
+// at the production block size and a real 32-replica sweep recording.
 
 #include "oracle/chrome_trace_oracle.h"
 
@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -277,6 +279,88 @@ TEST(ChromeTraceDiffTest, SecondProcessAndOptionsMatchOracle) {
   TraceRecorder empty;
   ExpectMatchesOracle(empty, nullptr, opt);
   ExpectMatchesOracle(empty, nullptr);
+}
+
+// At the production block size: spans, instants, counters and samples
+// each cover 3+ blocks, with counts on and beside block multiples; every
+// block holds escaped strings; spans on both sides of each block edge
+// carry args; some spans stay open or are removed; and the runtime
+// process fills more than one block of its own.
+TEST(ChromeTraceDiffTest, BlockEdgesAtProductionBlockSize) {
+  constexpr size_t kB = kExportBlockEvents;
+  const std::vector<std::string> names = {"plain", "q\"uote", "back\\slash",
+                                          "ctl\x01\x1f", "nl\ntab\t"};
+  struct Counts {
+    size_t spans, instants, samples;
+  };
+  for (const Counts& c : {Counts{3 * kB - 1, 3 * kB + 1, 4 * kB},
+                          Counts{3 * kB, 3 * kB - 1, 4 * kB + 1},
+                          Counts{3 * kB + 1, 3 * kB, 4 * kB - 1}}) {
+    TraceRecorder tr;
+    MetricsRegistry m;
+    for (size_t i = 0; i < c.spans; ++i) {
+      const double t = 0.25 * static_cast<double>(i);
+      const std::string& name = names[i % names.size()];
+      SpanId s = tr.BeginSpan(t, SpanCategory::kTask, name,
+                              "lane " + names[(i / 7) % names.size()]);
+      if (i % kB == 0 || i % kB == kB - 1 || i % 97 == 0) {
+        tr.SpanArg(s, name, t);
+        tr.SpanArg(s, "note", std::string_view(names[(i + 1) % names.size()]));
+      }
+      if (i % 5 == 1) {
+        tr.EndSpanRemoved(s, t + 1.0);
+      } else if (i % 5 != 3) {  // i % 5 == 3 stays open
+        tr.EndSpan(s, t + 0.5);
+      }
+    }
+    for (size_t i = 0; i < c.instants; ++i) {
+      tr.Instant(0.5 * static_cast<double>(i), SpanCategory::kSim,
+                 names[(i + 2) % names.size()],
+                 "at " + names[(i / 11) % names.size()]);
+    }
+    for (size_t i = 0; i < c.samples; ++i) {
+      m.Record(0.125 * static_cast<double>(i), names[(i + 3) % names.size()],
+               1.0 / static_cast<double>(i + 1));
+    }
+    TraceRecorder runtime;
+    for (size_t i = 0; i < kB + 1; ++i) {
+      SpanId w = runtime.BeginSpan(1e-3 * static_cast<double>(i),
+                                   SpanCategory::kSim,
+                                   names[i % names.size()], "w");
+      if (i == kB - 1 || i == kB) runtime.SpanArg(w, "wall_ms", 0.5);
+      runtime.EndSpan(w, 1e-3 * static_cast<double>(i) + 5e-4);
+    }
+    ChromeTraceOptions with_runtime;
+    with_runtime.runtime_trace = &runtime;
+    ExpectMatchesOracle(tr, &m, with_runtime);
+    ExpectMatchesOracle(tr, &m);
+    ExpectMatchesOracle(runtime, nullptr);
+  }
+}
+
+// A stream that fails mid-export: the exporter stops and joins its
+// workers and the stream's exception reaches the caller (a worker left
+// running or waiting would end the program or hang the call).
+TEST(ChromeTraceBlocksTest, ThrowingStreamStopsAndJoinsWorkers) {
+  struct FailAfter : std::streambuf {
+    std::streamsize left = 100000;
+    std::streamsize xsputn(const char*, std::streamsize n) override {
+      if (n > left) return 0;
+      left -= n;
+      return n;
+    }
+    int overflow(int) override { return traits_type::eof(); }
+  };
+  MetricsRegistry m;
+  for (size_t i = 0; i < 16 * kExportBlockEvents; ++i) {
+    m.Record(static_cast<double>(i), "series", 0.5);
+  }
+  for (int rep = 0; rep < 20; ++rep) {
+    FailAfter buf;
+    std::ostream out(&buf);
+    out.exceptions(std::ios::badbit);
+    EXPECT_THROW(WriteMetricSamplesCsv(m, &out), std::ios_base::failure);
+  }
 }
 
 // A real merged recording: 32 campaign replicas on the SweepRunner,
