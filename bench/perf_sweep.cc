@@ -22,9 +22,24 @@
 //
 // Timing: min over kReps reps, reps interleaved round-robin across the
 // worker counts (bench_common.h). Usage: perf_sweep [--smoke] [json_path]
+//
+// Two lanes explain per-replica cost at each worker count:
+//   allocs_per_replica — operator new calls inside the replica function
+//     (campaign build, run, records), counted per thread by this binary's
+//     replacement of the global operator new; identical at every worker
+//     count by construction;
+//   replica_inflation — the mean replica wall at this worker count over
+//     the serial one (min over reps of each rep's mean); 1.0 means
+//     replicas run as fast side by side as alone.
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +56,34 @@
 #include "util/rng.h"
 #include "workload/fleet.h"
 
+namespace {
+// Allocations made by the calling thread (replaced operator new below).
+thread_local uint64_t t_allocs = 0;
+// Summed over the replicas of the sweep in flight.
+std::atomic<uint64_t> g_replica_allocs{0};
+
+void* CountedNew(std::size_t n) {
+  ++t_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++t_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++t_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace ff {
 namespace {
 
@@ -54,6 +97,7 @@ constexpr double kSamplePeriod = 4.0 * 3600.0;
 // One replica = one full campaign, seeded from the replica's private
 // stream (worker-count independent by construction).
 void RunReplica(parallel::ReplicaContext& ctx) {
+  const uint64_t allocs_before = t_allocs;
   factory::CampaignConfig cfg;
   cfg.num_days = kNumDays;
   cfg.metrics_sample_period = kSamplePeriod;
@@ -75,6 +119,8 @@ void RunReplica(parallel::ReplicaContext& ctx) {
   auto result = campaign.Run();
   if (!result.ok()) std::abort();
   *ctx.records = std::move(result->records);
+  g_replica_allocs.fetch_add(t_allocs - allocs_before,
+                             std::memory_order_relaxed);
 }
 
 // The three merged artifacts whose bytes must not depend on the worker
@@ -134,6 +180,9 @@ int main(int argc, char** argv) {
   std::vector<Artifacts> artifacts(kWorkers.size());
   std::vector<uint64_t> steals(kWorkers.size(), 0);
   std::vector<obs::SweepRuntimeProfile> runtimes(kWorkers.size());
+  std::vector<uint64_t> allocs_per_replica(kWorkers.size(), 0);
+  std::vector<double> replica_ms(kWorkers.size(),
+                                 std::numeric_limits<double>::infinity());
   std::vector<std::function<double()>> variants;
   for (size_t w = 0; w < kWorkers.size(); ++w) {
     variants.push_back([&, w] {
@@ -142,8 +191,17 @@ int main(int argc, char** argv) {
       opt.base_seed = 4242;
       parallel::SweepRunner runner(opt);
       parallel::SweepOutputs outputs;
+      g_replica_allocs.store(0);
       double ms = bench::WallMs(
           [&] { outputs = runner.Run(kReplicas, RunReplica); });
+      allocs_per_replica[w] = g_replica_allocs.load() / kReplicas;
+      if (!outputs.runtime.replicas.empty()) {
+        double sum = 0.0;
+        for (const auto& r : outputs.runtime.replicas) sum += r.wall_ms;
+        replica_ms[w] = std::min(
+            replica_ms[w],
+            sum / static_cast<double>(outputs.runtime.replicas.size()));
+      }
       steals[w] = outputs.steals;
       // Last rep wins, matching the artifacts the determinism gate sees.
       // The runtime profile is intentionally NOT part of that gate — it
@@ -158,11 +216,18 @@ int main(int argc, char** argv) {
   double serial_ms = timings[0].wall_ms;
   bool ok = true;
   std::printf("workers,wall_ms,wall_ms_max,speedup_vs_serial,steals,"
-              "deterministic\n");
+              "deterministic,allocs_per_replica,replica_ms,"
+              "replica_inflation\n");
   std::string json_rows;
   for (size_t w = 0; w < kWorkers.size(); ++w) {
     double speedup =
         timings[w].wall_ms > 0.0 ? serial_ms / timings[w].wall_ms : 0.0;
+    // 0 when the runtime profiler is compiled out (no replica walls).
+    double mean_replica_ms =
+        std::isfinite(replica_ms[w]) ? replica_ms[w] : 0.0;
+    double inflation = mean_replica_ms > 0.0 && std::isfinite(replica_ms[0])
+                           ? mean_replica_ms / replica_ms[0]
+                           : 0.0;
     bool deterministic =
         artifacts[w].chrome_json == artifacts[0].chrome_json &&
         artifacts[w].metrics_csv == artifacts[0].metrics_csv &&
@@ -191,21 +256,26 @@ int main(int argc, char** argv) {
                    kWorkers[w], speedup, floor);
       ok = false;
     }
-    std::printf("%zu,%.3f,%.3f,%.2f,%llu,%s\n", kWorkers[w],
+    std::printf("%zu,%.3f,%.3f,%.2f,%llu,%s,%llu,%.3f,%.2f\n", kWorkers[w],
                 timings[w].wall_ms, timings[w].wall_ms_max, speedup,
                 static_cast<unsigned long long>(steals[w]),
-                deterministic ? "yes" : "NO");
-    char buf[320];
+                deterministic ? "yes" : "NO",
+                static_cast<unsigned long long>(allocs_per_replica[w]),
+                mean_replica_ms, inflation);
+    char buf[448];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"workers\": %zu, \"wall_ms\": %.3f, \"wall_ms_max\": %.3f, "
         "\"speedup_vs_serial\": %.2f, \"steals\": %llu, "
         "\"deterministic\": %s, \"floor\": %.1f, \"floor_checked\": %s, "
-        "\"runtime\": ",
+        "\"allocs_per_replica\": %llu, \"replica_ms\": %.3f, "
+        "\"replica_inflation\": %.2f, \"runtime\": ",
         kWorkers[w], timings[w].wall_ms, timings[w].wall_ms_max, speedup,
         static_cast<unsigned long long>(steals[w]),
         deterministic ? "true" : "false", floor,
-        floor_checked ? "true" : "false");
+        floor_checked ? "true" : "false",
+        static_cast<unsigned long long>(allocs_per_replica[w]),
+        mean_replica_ms, inflation);
     if (!json_rows.empty()) json_rows += ",\n";
     json_rows += buf;
     json_rows += bench::RuntimePoolJson(&runtimes[w].pool);
@@ -242,8 +312,10 @@ int main(int argc, char** argv) {
                "  \"days_per_replica\": %d,\n"
                "  \"reps\": %d,\n"
                "  \"hardware_concurrency\": %zu,\n"
+               "  \"allocs_per_replica\": %llu,\n"
                "  \"results\": [\n%s\n  ]\n}\n",
                smoke ? "true" : "false", kReplicas, kNumDays, kReps, hw,
+               static_cast<unsigned long long>(allocs_per_replica[0]),
                json_rows.c_str());
   std::fclose(f);
   std::printf("# wrote %s (%zu replicas, hw=%zu%s)\n", json_path, kReplicas,

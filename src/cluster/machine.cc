@@ -1,7 +1,6 @@
 #include "cluster/machine.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "util/logging.h"
 
@@ -20,6 +19,7 @@ Machine::Machine(sim::Simulator* sim, std::string name, int num_cpus,
   FF_CHECK(speed > 0.0) << "machine speed must be positive";
   FF_CHECK(ram_bytes > 0.0) << "machine RAM must be positive";
   res_.SetSpeedFactor(speed);
+  res_.set_completion_hook([this](TaskId id) { ReleaseTask(id); });
 }
 
 void Machine::UpdateCongestion() {
@@ -34,36 +34,25 @@ TaskId Machine::StartTask(double cpu_seconds, std::function<void()> on_done,
                           double mem_bytes, std::string_view label,
                           obs::SpanId parent) {
   FF_CHECK(mem_bytes >= 0.0) << "negative task memory";
-  // Completion fires through the event queue, strictly after Add returns,
-  // so the id holder is always populated by the time the wrapper runs.
-  auto id_holder = std::make_shared<TaskId>(0);
   resident_bytes_ += mem_bytes;
-  TaskId id = res_.AddTraced(
-      cpu_seconds,
-      [this, id_holder, cb = std::move(on_done)]() {
-        auto it = task_mem_.find(*id_holder);
-        if (it != task_mem_.end()) {
-          resident_bytes_ -= it->second;
-          task_mem_.erase(it);
-          UpdateCongestion();
-        }
-        if (cb) cb();
-      },
-      label, parent);
-  *id_holder = id;
-  task_mem_[id] = mem_bytes;
+  TaskId id = res_.AddTraced(cpu_seconds, std::move(on_done), label, parent);
+  if (mem_bytes > 0.0) task_mem_[id] = mem_bytes;
   UpdateCongestion();
   return id;
 }
 
-util::StatusOr<double> Machine::RemoveTask(TaskId id) {
-  FF_ASSIGN_OR_RETURN(double remaining, res_.Remove(id));
+void Machine::ReleaseTask(TaskId id) {
   auto it = task_mem_.find(id);
   if (it != task_mem_.end()) {
     resident_bytes_ -= it->second;
     task_mem_.erase(it);
-    UpdateCongestion();
   }
+  UpdateCongestion();
+}
+
+util::StatusOr<double> Machine::RemoveTask(TaskId id) {
+  FF_ASSIGN_OR_RETURN(double remaining, res_.Remove(id));
+  ReleaseTask(id);
   return remaining;
 }
 

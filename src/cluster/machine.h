@@ -89,6 +89,9 @@ class Machine {
 
  private:
   void UpdateCongestion();
+  // A task left the machine (completed or removed): frees its memory and
+  // re-evaluates thrashing.
+  void ReleaseTask(TaskId id);
 
   sim::Simulator* sim_;
   PsResource res_;
@@ -96,7 +99,7 @@ class Machine {
   double speed_;
   double ram_bytes_;
   double resident_bytes_ = 0.0;
-  std::map<TaskId, double> task_mem_;
+  std::map<TaskId, double> task_mem_;  // tasks holding memory only
   bool up_ = true;
 };
 

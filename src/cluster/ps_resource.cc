@@ -20,10 +20,10 @@ PsResource::PsResource(sim::Simulator* sim, std::string name,
 }
 
 double PsResource::CurrentRatePerJob() const {
-  if (jobs_.empty() || speed_factor_ <= 0.0 || congestion_ <= 0.0) {
+  if (live_jobs_ == 0 || speed_factor_ <= 0.0 || congestion_ <= 0.0) {
     return 0.0;
   }
-  double share = capacity_ / static_cast<double>(jobs_.size());
+  double share = capacity_ / static_cast<double>(live_jobs_);
   return speed_factor_ * congestion_ * std::min(max_per_job_, share);
 }
 
@@ -38,7 +38,7 @@ void PsResource::Advance() {
   if (dt > 0.0) {
     double rate = CurrentRatePerJob();
     if (rate > 0.0) {
-      double delivered = rate * static_cast<double>(jobs_.size()) * dt;
+      double delivered = rate * static_cast<double>(live_jobs_) * dt;
       virtual_time_ += rate * dt;
       total_delivered_ += delivered;
       busy_integral_ += delivered;
@@ -47,8 +47,35 @@ void PsResource::Advance() {
   last_update_ = now;
 }
 
+PsResource::Job* PsResource::FindJob(JobId id) {
+  if (id < first_id_ || id - first_id_ >= jobs_.size()) return nullptr;
+  Job& job = jobs_[id - first_id_];
+  return job.live ? &job : nullptr;
+}
+
+const PsResource::Job* PsResource::FindJob(JobId id) const {
+  return const_cast<PsResource*>(this)->FindJob(id);
+}
+
+void PsResource::EraseJob(Job* job) {
+  job->live = false;
+  job->on_done = nullptr;
+  if (--live_jobs_ == 0) {
+    jobs_.clear();
+    first_id_ = next_id_;
+    head_ = 0;
+    return;
+  }
+  while (!jobs_[head_].live) ++head_;
+  if (head_ * 2 >= jobs_.size()) {
+    jobs_.erase(jobs_.begin(), jobs_.begin() + static_cast<ptrdiff_t>(head_));
+    first_id_ += head_;
+    head_ = 0;
+  }
+}
+
 void PsResource::PruneHeapTop() {
-  while (!heap_.empty() && jobs_.find(heap_.front().id) == jobs_.end()) {
+  while (!heap_.empty() && FindJob(heap_.front().id) == nullptr) {
     std::pop_heap(heap_.begin(), heap_.end(), CreditLater{});
     heap_.pop_back();
     --stale_entries_;
@@ -59,7 +86,7 @@ void PsResource::MaybeCompactHeap() {
   if (stale_entries_ * 2 <= heap_.size()) return;
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) {
-                               return jobs_.find(e.id) == jobs_.end();
+                               return FindJob(e.id) == nullptr;
                              }),
               heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), CreditLater{});
@@ -68,7 +95,7 @@ void PsResource::MaybeCompactHeap() {
 
 void PsResource::Reschedule() {
   if (pending_.pending()) sim_->Cancel(pending_);
-  if (jobs_.empty()) {
+  if (live_jobs_ == 0) {
     // Idle: rebase the accumulator so credits never grow without bound
     // over a long simulation (precision hygiene).
     heap_.clear();
@@ -93,23 +120,27 @@ void PsResource::OnCompletionEvent() {
   // active would re-fire this event at an identical timestamp forever.
   double threshold =
       std::max(kWorkEpsilon, CurrentRatePerJob() * kTimeEpsilon);
+  // Borrow done_'s capacity; a member stays valid should a callback ever
+  // re-enter this resource's completion path.
   std::vector<std::pair<JobId, std::function<void()>>> done;
+  done.swap(done_);
   while (!heap_.empty()) {
-    auto it = jobs_.find(heap_.front().id);
-    if (it == jobs_.end()) {  // removed earlier; lazy deletion
+    const JobId id = heap_.front().id;
+    Job* job = FindJob(id);
+    if (job == nullptr) {  // removed earlier; lazy deletion
       std::pop_heap(heap_.begin(), heap_.end(), CreditLater{});
       heap_.pop_back();
       --stale_entries_;
       continue;
     }
     if (heap_.front().credit - virtual_time_ > threshold) break;
-    if (it->second.span != 0) {
+    if (job->span != 0) {
       if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
-        tr->EndSpan(it->second.span, sim_->now());
+        tr->EndSpan(job->span, sim_->now());
       }
     }
-    done.emplace_back(it->first, std::move(it->second.on_done));
-    jobs_.erase(it);
+    done.emplace_back(id, std::move(job->on_done));
+    EraseJob(job);
     std::pop_heap(heap_.begin(), heap_.end(), CreditLater{});
     heap_.pop_back();
   }
@@ -119,8 +150,11 @@ void PsResource::OnCompletionEvent() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   Reschedule();
   for (auto& [id, fn] : done) {
+    if (completion_hook_) completion_hook_(id);
     if (fn) fn();
   }
+  done.clear();
+  done_.swap(done);
 }
 
 JobId PsResource::AddTraced(double work, std::function<void()> on_done,
@@ -142,7 +176,8 @@ JobId PsResource::AddTraced(double work, std::function<void()> on_done,
     span = tr->BeginSpan(sim_->now(), trace_category_, span_name,
                          trace_.track, parent, trace_.work_key, work);
   }
-  jobs_.emplace(id, Job{credit, std::move(on_done), span});
+  jobs_.push_back(Job{credit, std::move(on_done), span, /*live=*/true});
+  ++live_jobs_;
   heap_.push_back(HeapEntry{credit, id});
   std::push_heap(heap_.begin(), heap_.end(), CreditLater{});
   Reschedule();
@@ -151,17 +186,17 @@ JobId PsResource::AddTraced(double work, std::function<void()> on_done,
 
 util::StatusOr<double> PsResource::Remove(JobId id) {
   Advance();
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
+  Job* job = FindJob(id);
+  if (job == nullptr) {
     return util::Status::NotFound(name_ + ": job " + std::to_string(id));
   }
-  double remaining = std::max(0.0, it->second.finish_credit - virtual_time_);
-  if (it->second.span != 0) {
+  double remaining = std::max(0.0, job->finish_credit - virtual_time_);
+  if (job->span != 0) {
     if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
-      tr->EndSpanRemoved(it->second.span, sim_->now());
+      tr->EndSpanRemoved(job->span, sim_->now());
     }
   }
-  jobs_.erase(it);
+  EraseJob(job);
   ++stale_entries_;
   MaybeCompactHeap();
   Reschedule();
@@ -184,29 +219,29 @@ void PsResource::SetCongestionFactor(double factor) {
 }
 
 obs::SpanId PsResource::span_of(JobId id) const {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? 0 : it->second.span;
+  const Job* job = FindJob(id);
+  return job == nullptr ? 0 : job->span;
 }
 
 util::StatusOr<double> PsResource::RemainingWork(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
+  const Job* job = FindJob(id);
+  if (job == nullptr) {
     return util::Status::NotFound(name_ + ": job " + std::to_string(id));
   }
   // Account for progress since last_update_ without mutating state.
-  return std::max(0.0, it->second.finish_credit - VirtualTimeNow());
+  return std::max(0.0, job->finish_credit - VirtualTimeNow());
 }
 
 double PsResource::total_delivered() const {
   double dt = sim_->now() - last_update_;
   double rate = CurrentRatePerJob();
-  return total_delivered_ + rate * static_cast<double>(jobs_.size()) * dt;
+  return total_delivered_ + rate * static_cast<double>(live_jobs_) * dt;
 }
 
 double PsResource::busy_capacity_integral() const {
   double dt = sim_->now() - last_update_;
   double rate = CurrentRatePerJob();
-  return busy_integral_ + rate * static_cast<double>(jobs_.size()) * dt;
+  return busy_integral_ + rate * static_cast<double>(live_jobs_) * dt;
 }
 
 }  // namespace cluster

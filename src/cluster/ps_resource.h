@@ -27,9 +27,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -85,7 +85,14 @@ class PsResource {
   /// Remaining work of an active job (advanced to the current instant).
   util::StatusOr<double> RemainingWork(JobId id) const;
 
-  size_t active_jobs() const { return jobs_.size(); }
+  /// Called with a job's id at its completion, just before its on_done
+  /// (Machine releases the task's memory here). Jobs removed with Remove
+  /// do not reach it.
+  void set_completion_hook(std::function<void(JobId)> hook) {
+    completion_hook_ = std::move(hook);
+  }
+
+  size_t active_jobs() const { return live_jobs_; }
   double capacity() const { return capacity_; }
   double max_per_job() const { return max_per_job_; }
   const std::string& name() const { return name_; }
@@ -112,6 +119,7 @@ class PsResource {
     double finish_credit;  // virtual time at which the job completes
     std::function<void()> on_done;
     obs::SpanId span = 0;  // open while the job is resident; 0 = untraced
+    bool live = false;     // false once completed or removed
   };
   struct HeapEntry {
     double credit;
@@ -139,6 +147,12 @@ class PsResource {
   void MaybeCompactHeap();
   // Per-job virtual service extrapolated to sim_->now() without mutating.
   double VirtualTimeNow() const;
+  // The live job `id`, or nullptr when it completed, was removed or never
+  // existed. O(1).
+  Job* FindJob(JobId id);
+  const Job* FindJob(JobId id) const;
+  // Marks a live job finished and trims the finished prefix of jobs_.
+  void EraseJob(Job* job);
 
   // Interned ids for this resource's track, resolved once per
   // observability install (epoch compare per traced Add).
@@ -157,8 +171,19 @@ class PsResource {
   TraceCache trace_;
   double speed_factor_ = 1.0;
   double congestion_ = 1.0;
-  std::map<JobId, Job> jobs_;
+  // Jobs by id: jobs_[i] is job first_id_ + i. Ids are issued in
+  // ascending order, so admission appends; finished jobs stay as holes
+  // until the finished prefix (jobs_[0, head_)) is dropped, which happens
+  // once it is half the window. The window spans the oldest live job to
+  // the newest.
+  std::vector<Job> jobs_;
+  JobId first_id_ = 1;
+  size_t head_ = 0;
+  size_t live_jobs_ = 0;
   std::vector<HeapEntry> heap_;
+  // Completions due at one instant (reused across completion events).
+  std::vector<std::pair<JobId, std::function<void()>>> done_;
+  std::function<void(JobId)> completion_hook_;
   size_t stale_entries_ = 0;
   double virtual_time_ = 0.0;
   JobId next_id_ = 1;

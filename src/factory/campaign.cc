@@ -180,7 +180,7 @@ void Campaign::DisplaceRun(size_t run_index, const std::string& node) {
   pending_work_[target] += *remaining;
   run.task = MachineOrDie(target)->StartTask(
       *remaining, [this, run_index] { OnRunComplete(run_index); }, 0.0,
-      run.forecast, run.span);
+      run.forecast(), run.span);
   ++result_.failure_migrations;
   if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
     m->counter("campaign.failure_migrations")->Increment();
@@ -280,7 +280,7 @@ void Campaign::HandleNodeCrash(const fault::FaultEvent& ev) {
   for (size_t i = 0; i < active_runs_.size(); ++i) {
     ActiveRun& run = active_runs_[i];
     if (run.task == 0 || run.retired || run.node != node) continue;
-    const ForecastEntry& entry = forecasts_.at(run.forecast);
+    const ForecastEntry& entry = *run.fc;
     auto remaining = machine->RemainingWork(run.task);
     if (!remaining.ok()) continue;
     // Optimistic post-repair finish: the run alone on one CPU.
@@ -293,7 +293,7 @@ void Campaign::HandleNodeCrash(const fault::FaultEvent& ev) {
       ++result_.runs_delayed;
       if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
         tr->Instant(sim_.now(), obs::SpanCategory::kPlan,
-                    "degrade.delay:" + run.forecast, "campaign");
+                    "degrade.delay:" + run.forecast(), "campaign");
       }
       if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
         m->counter("campaign.runs_delayed")->Increment();
@@ -307,7 +307,7 @@ void Campaign::HandleNodeCrash(const fault::FaultEvent& ev) {
       ++result_.runs_dropped;
       if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
         tr->Instant(sim_.now(), obs::SpanCategory::kPlan,
-                    "degrade.drop:" + run.forecast, "campaign");
+                    "degrade.drop:" + run.forecast(), "campaign");
       }
       if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
         m->counter("campaign.runs_dropped")->Increment();
@@ -363,7 +363,7 @@ void Campaign::HandleTaskTransient(const fault::FaultEvent& ev) {
       ActiveRun& r = active_runs_[i];
       if (r.retired || r.task != 0) return;
       r.task = MachineOrDie(r.node)->StartTask(
-          rem, [this, i] { OnRunComplete(i); }, 0.0, r.forecast, r.span);
+          rem, [this, i] { OnRunComplete(i); }, 0.0, r.forecast(), r.span);
     });
   }
 }
@@ -382,7 +382,7 @@ void Campaign::RebalanceIfNeeded(int day_index) {
     auto remaining = machines_.at(run.node)->RemainingWork(run.task);
     if (!remaining.ok()) continue;
     node_jobs[run.node].push_back(core::ShareJob{
-        run.forecast + "#wip" + std::to_string(run.day_index), run.node,
+        run.forecast() + "#wip" + std::to_string(run.day_index), run.node,
         0.0, *remaining});
   }
   for (auto& [name, entry] : forecasts_) {
@@ -455,9 +455,9 @@ void Campaign::LiveDbUpsert(const logdata::LogRecord& rec) {
 
 logdata::LogRecord Campaign::MakeRecord(const ActiveRun& run,
                                         logdata::RunStatus status) const {
-  const ForecastEntry& entry = forecasts_.at(run.forecast);
+  const ForecastEntry& entry = *run.fc;
   logdata::LogRecord rec;
-  rec.forecast = run.forecast;
+  rec.forecast = entry.spec.name;
   rec.region = entry.spec.region;
   rec.day = config_.first_day + run.day_index;
   rec.node = run.node;
@@ -479,26 +479,40 @@ void Campaign::LaunchRun(ForecastEntry* entry, int day_index) {
     work = rng_.LogNormalMedian(work, config_.noise_sigma);
   }
   ActiveRun run;
-  run.forecast = entry->spec.name;
+  run.fc = entry;
   run.day_index = day_index;
   run.node = entry->node;
   run.start_time = sim_.now();
   run.work = work;
   if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
+    RevalidateObsCache();
+    // Each id is resolved in the order the uncached calls interned it
+    // (track, name, then each arg key and value): StrIds order the
+    // exported lanes.
+    if (obs_.runs_track == 0) obs_.runs_track = tr->Intern("runs");
+    if (entry->trace_name == 0) {
+      entry->trace_name = tr->Intern(entry->spec.name);
+    }
     run.span = tr->BeginSpan(sim_.now(), obs::SpanCategory::kRun,
-                             run.forecast, "runs");
-    tr->SpanArg(run.span, "day",
+                             entry->trace_name, obs_.runs_track);
+    if (obs_.day_key == 0) obs_.day_key = tr->Intern("day");
+    tr->SpanArg(run.span, obs_.day_key,
                 static_cast<double>(config_.first_day + day_index));
-    tr->SpanArg(run.span, "node", entry->node);
-    tr->SpanArg(run.span, "work", work);
+    if (obs_.node_key == 0) obs_.node_key = tr->Intern("node");
+    tr->SpanArg(run.span, obs_.node_key, tr->Intern(entry->node));
+    if (obs_.work_key == 0) obs_.work_key = tr->Intern("work");
+    tr->SpanArg(run.span, obs_.work_key, work);
   }
   size_t index = active_runs_.size();
   pending_work_[entry->node] += work;
-  active_runs_.push_back(run);
-  active_runs_[index].task = MachineOrDie(entry->node)->StartTask(
-      work, [this, index] { OnRunComplete(index); }, 0.0, run.forecast,
-      run.span);
-  LiveDbUpsert(MakeRecord(active_runs_[index], logdata::RunStatus::kRunning));
+  active_runs_.push_back(std::move(run));
+  ActiveRun& added = active_runs_[index];
+  added.task = MachineOrDie(entry->node)->StartTask(
+      work, [this, index] { OnRunComplete(index); }, 0.0, added.forecast(),
+      added.span);
+  if (config_.live_db != nullptr) {
+    LiveDbUpsert(MakeRecord(added, logdata::RunStatus::kRunning));
+  }
 }
 
 void Campaign::OnRunComplete(size_t run_index) {
@@ -508,7 +522,9 @@ void Campaign::OnRunComplete(size_t run_index) {
   pending_work_[run.node] -= run.work;
   double walltime = sim_.now() - run.start_time;
   int day = config_.first_day + run.day_index;
-  result_.walltimes[run.forecast].push_back(DaySample{day, walltime});
+  std::vector<DaySample>& samples = result_.walltimes[run.forecast()];
+  if (samples.empty()) samples.reserve(static_cast<size_t>(config_.num_days));
+  samples.push_back(DaySample{day, walltime});
 
   if (run.span != 0) {
     if (obs::TraceRecorder* tr = obs::ActiveTrace()) {
@@ -516,19 +532,25 @@ void Campaign::OnRunComplete(size_t run_index) {
     }
   }
   if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
-    m->counter("campaign.runs_completed")->Increment();
-    m->histogram("campaign.walltime",
-                 {3600.0, 7200.0, 14400.0, 28800.0, 43200.0, 86400.0,
-                  172800.0})
-        ->Observe(walltime);
-    m->Record(sim_.now(), "campaign.walltime." + run.forecast, walltime);
+    RevalidateObsCache();
+    if (obs_.runs_completed == nullptr) {
+      obs_.runs_completed = m->counter("campaign.runs_completed");
+      obs_.walltime = m->histogram(
+          "campaign.walltime", {3600.0, 7200.0, 14400.0, 28800.0, 43200.0,
+                                86400.0, 172800.0});
+    }
+    obs_.runs_completed->Increment();
+    obs_.walltime->Observe(walltime);
+    uint32_t& series = run.fc->walltime_series;
+    if (series == kNoSeries) {
+      series = m->series_id("campaign.walltime." + run.forecast());
+    }
+    m->RecordById(sim_.now(), series, walltime);
   }
-  SpcCheck(run.forecast, walltime);
+  SpcCheck(run.forecast(), walltime);
 
-  logdata::LogRecord rec =
-      MakeRecord(run, logdata::RunStatus::kCompleted);
-  LiveDbUpsert(rec);
-  result_.records.push_back(std::move(rec));
+  result_.records.push_back(MakeRecord(run, logdata::RunStatus::kCompleted));
+  LiveDbUpsert(result_.records.back());
 }
 
 void Campaign::SpcCheck(const std::string& forecast, double walltime) {
@@ -583,21 +605,36 @@ void Campaign::SpcCheck(const std::string& forecast, double walltime) {
   }
 }
 
-void Campaign::MetricsTick(double period, double t_end) {
+void Campaign::RevalidateObsCache() {
+  const uint64_t epoch = obs::ObsEpoch();
+  if (epoch == obs_.epoch) return;
+  obs_ = ObsCache{};
+  obs_.epoch = epoch;
+  for (auto& [name, entry] : forecasts_) {
+    entry.trace_name = 0;
+    entry.walltime_series = kNoSeries;
+  }
+}
+
+void Campaign::MetricsTick() {
   obs::MetricsRegistry* m = obs::ActiveMetrics();
   if (m == nullptr) return;
-  for (const auto& name : node_order_) {
-    const auto& mach = machines_.at(name);
-    m->gauge("node.util." + name)->Set(mach->AverageUtilization(0.0));
-    m->gauge("node.tasks." + name)
-        ->Set(static_cast<double>(mach->active_tasks()));
+  RevalidateObsCache();
+  if (obs_.node_util.empty()) {
+    for (const auto& name : node_order_) {
+      obs_.node_util.push_back(m->gauge("node.util." + name));
+      obs_.node_tasks.push_back(m->gauge("node.tasks." + name));
+    }
+  }
+  for (size_t i = 0; i < node_order_.size(); ++i) {
+    const auto& mach = machines_.at(node_order_[i]);
+    obs_.node_util[i]->Set(mach->AverageUtilization(0.0));
+    obs_.node_tasks[i]->Set(static_cast<double>(mach->active_tasks()));
   }
   m->SampleAll(sim_.now());
-  double next = sim_.now() + period;
-  if (next <= t_end) {
-    sim_.ScheduleAt(next, [this, period, t_end] {
-      MetricsTick(period, t_end);
-    });
+  double next = sim_.now() + config_.metrics_sample_period;
+  if (next <= config_.num_days * kDay) {
+    sim_.ScheduleAt(next, [this] { MetricsTick(); });
   }
 }
 
@@ -631,6 +668,10 @@ util::StatusOr<CampaignResult> Campaign::Run() {
     // Priority -1: a crash at a launch instant lands before LaunchDay.
     injector_->Arm(/*priority=*/-1);
   }
+  const size_t expected_runs =
+      forecasts_.size() * static_cast<size_t>(config_.num_days);
+  active_runs_.reserve(expected_runs);
+  result_.records.reserve(expected_runs);
   for (int d = 0; d < config_.num_days; ++d) ScheduleDay(d);
   obs::TraceRecorder* tr = obs::ActiveTrace();
   if (tr != nullptr) {
@@ -639,9 +680,7 @@ util::StatusOr<CampaignResult> Campaign::Run() {
   if (obs::ActiveMetrics() != nullptr && config_.metrics_sample_period > 0) {
     double t_end = config_.num_days * kDay;
     double first = std::min(config_.metrics_sample_period, t_end);
-    sim_.ScheduleAt(first, [this, t_end] {
-      MetricsTick(config_.metrics_sample_period, t_end);
-    });
+    sim_.ScheduleAt(first, [this] { MetricsTick(); });
   }
   sim_.Run();
   if (injector_ != nullptr) {
@@ -657,18 +696,7 @@ util::StatusOr<CampaignResult> Campaign::Run() {
   // Anything still active stalled on a dead node: record as running.
   for (const auto& run : active_runs_) {
     if (run.task == 0) continue;
-    logdata::LogRecord rec;
-    const ForecastEntry& entry = forecasts_.at(run.forecast);
-    rec.forecast = run.forecast;
-    rec.region = entry.spec.region;
-    rec.day = config_.first_day + run.day_index;
-    rec.node = run.node;
-    rec.code_version = entry.spec.code_version;
-    rec.mesh_sides = entry.spec.mesh_sides;
-    rec.timesteps = entry.spec.timesteps;
-    rec.start_time = run.start_time;
-    rec.status = logdata::RunStatus::kRunning;
-    result_.records.push_back(rec);
+    result_.records.push_back(MakeRecord(run, logdata::RunStatus::kRunning));
   }
 
   // Keep per-forecast samples sorted by day (completions can interleave).

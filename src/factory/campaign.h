@@ -177,9 +177,13 @@ class Campaign {
     int added_day;
     int removed_day = std::numeric_limits<int>::max();
     int overload_streak = 0;  // consecutive predicted-overrun days
+    // Observability ids of this forecast, resolved at first use under the
+    // current install (ObsCache::epoch); 0 / kNoSeries = not yet.
+    obs::StrId trace_name = 0;
+    uint32_t walltime_series = kNoSeries;
   };
   struct ActiveRun {
-    std::string forecast;
+    ForecastEntry* fc;  // forecasts_ never erases, so this stays valid
     int day_index;
     std::string node;
     cluster::TaskId task;
@@ -188,6 +192,24 @@ class Campaign {
     obs::SpanId span = 0;  // kRun span; open until completion
     int failures = 0;      // transient-fault kills of this run
     bool retired = false;  // completed, dropped or failed — never restart
+
+    const std::string& forecast() const { return fc->spec.name; }
+  };
+  static constexpr uint32_t kNoSeries = ~uint32_t{0};
+  // Trace ids and metric instruments of the per-run hot path. Each is
+  // resolved where the uncached code would first intern or register it,
+  // so string and series ids keep their order; a new observability
+  // install (epoch) clears them all.
+  struct ObsCache {
+    uint64_t epoch = 0;
+    obs::StrId runs_track = 0;
+    obs::StrId day_key = 0;
+    obs::StrId node_key = 0;
+    obs::StrId work_key = 0;
+    obs::Counter* runs_completed = nullptr;
+    obs::Histogram* walltime = nullptr;
+    std::vector<obs::Gauge*> node_util;   // by node_order_ index
+    std::vector<obs::Gauge*> node_tasks;
   };
   struct SpcState {
     std::vector<double> history;  // pre-fit baseline, then monitored tail
@@ -210,7 +232,9 @@ class Campaign {
   void OnFault(const fault::FaultNotice& notice);
   void HandleNodeCrash(const fault::FaultEvent& event);
   void HandleTaskTransient(const fault::FaultEvent& event);
-  void MetricsTick(double period, double t_end);
+  void MetricsTick();
+  // Clears obs_ when the observability install changed since last use.
+  void RevalidateObsCache();
   void SpcCheck(const std::string& forecast, double walltime);
   cluster::Machine* MachineOrDie(const std::string& name);
   std::string LeastLoadedNode(const std::string& excluded) const;
@@ -226,6 +250,7 @@ class Campaign {
   std::vector<ActiveRun> active_runs_;  // stable storage; entries retire
   std::map<std::string, double> pending_work_;  // node -> queued+running
   std::map<std::string, SpcState> spc_;
+  ObsCache obs_;
   CampaignResult result_;
   bool ran_ = false;
 };

@@ -53,75 +53,92 @@ bool Histogram::MergeFrom(const Histogram& other) {
   return true;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
+Counter* MetricsRegistry::counter(std::string_view name) {
   FF_CHECK(!gauges_.count(name) && !histograms_.count(name))
       << "metric " << name << " already registered with another kind";
-  return &counters_[name];
+  auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    it = counters_.emplace(std::string(name), CounterEntry{}).first;
+  }
+  return &it->second.counter;
 }
 
-Gauge* MetricsRegistry::gauge(const std::string& name) {
+Gauge* MetricsRegistry::gauge(std::string_view name) {
   FF_CHECK(!counters_.count(name) && !histograms_.count(name))
       << "metric " << name << " already registered with another kind";
-  return &gauges_[name];
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) {
+    it = gauges_.emplace(std::string(name), GaugeEntry{}).first;
+  }
+  return &it->second.gauge;
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name,
+Histogram* MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> upper_bounds) {
   FF_CHECK(!counters_.count(name) && !gauges_.count(name))
       << "metric " << name << " already registered with another kind";
   auto it = histograms_.find(name);
-  if (it != histograms_.end()) return &it->second;
-  return &histograms_.emplace(name, Histogram(std::move(upper_bounds)))
-              .first->second;
+  if (it == histograms_.end()) {
+    it = histograms_
+             .emplace(std::string(name),
+                      HistogramEntry{Histogram(std::move(upper_bounds))})
+             .first;
+  }
+  return &it->second.histogram;
 }
 
-const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
+const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
+  return it == counters_.end() ? nullptr : &it->second.counter;
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
+const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
   auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
+  return it == gauges_.end() ? nullptr : &it->second.gauge;
 }
 
-const Histogram* MetricsRegistry::FindHistogram(
-    const std::string& name) const {
+const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
+  return it == histograms_.end() ? nullptr : &it->second.histogram;
 }
 
-uint32_t MetricsRegistry::InternName(const std::string& name) {
+uint32_t MetricsRegistry::InternName(std::string_view name) {
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(names_.size());
-  names_.push_back(name);
-  name_ids_.emplace(name, id);
+  names_.emplace_back(name);
+  name_ids_.emplace(names_.back(), id);
   return id;
 }
 
 void MetricsRegistry::SampleAll(double t) {
-  for (const auto& [name, c] : counters_) {
-    samples_.push_back(MetricSample{t, InternName(name),
-                                    static_cast<double>(c.value())});
+  for (auto& [name, e] : counters_) {
+    if (e.series == kUnsampled) e.series = InternName(name);
+    samples_.push_back(MetricSample{
+        t, e.series, static_cast<double>(e.counter.value())});
   }
-  for (const auto& [name, g] : gauges_) {
-    samples_.push_back(MetricSample{t, InternName(name), g.value()});
+  for (auto& [name, e] : gauges_) {
+    if (e.series == kUnsampled) e.series = InternName(name);
+    samples_.push_back(MetricSample{t, e.series, e.gauge.value()});
   }
-  for (const auto& [name, h] : histograms_) {
-    samples_.push_back(MetricSample{t, InternName(name + ".count"),
-                                    static_cast<double>(h.count())});
-    samples_.push_back(MetricSample{t, InternName(name + ".sum"), h.sum()});
+  for (auto& [name, e] : histograms_) {
+    if (e.count_series == kUnsampled) {
+      e.count_series = InternName(name + ".count");
+      e.sum_series = InternName(name + ".sum");
+    }
+    samples_.push_back(MetricSample{
+        t, e.count_series, static_cast<double>(e.histogram.count())});
+    samples_.push_back(MetricSample{t, e.sum_series, e.histogram.sum()});
   }
 }
 
-void MetricsRegistry::Record(double t, const std::string& series,
+void MetricsRegistry::Record(double t, std::string_view series,
                              double value) {
   samples_.push_back(MetricSample{t, InternName(series), value});
 }
 
 std::vector<MetricSample> MetricsRegistry::SeriesSamples(
-    const std::string& series) const {
+    std::string_view series) const {
   std::vector<MetricSample> out;
   auto it = name_ids_.find(series);
   if (it == name_ids_.end()) return out;
@@ -132,7 +149,7 @@ std::vector<MetricSample> MetricsRegistry::SeriesSamples(
 }
 
 std::vector<double> MetricsRegistry::SeriesValues(
-    const std::string& series) const {
+    std::string_view series) const {
   std::vector<double> out;
   for (const auto& s : SeriesSamples(series)) out.push_back(s.value);
   return out;

@@ -95,27 +95,32 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Get-or-create. Fatal when the name is already used by another kind.
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name,
+  /// Lookups by an existing name allocate nothing; hot paths still cache
+  /// the returned pointer (see CachedCounter).
+  Counter* counter(std::string_view name);
+  Gauge* gauge(std::string_view name);
+  Histogram* histogram(std::string_view name,
                        std::vector<double> upper_bounds);
 
-  const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
+  const Counter* FindCounter(std::string_view name) const;
+  const Gauge* FindGauge(std::string_view name) const;
+  const Histogram* FindHistogram(std::string_view name) const;
 
   /// Snapshots every counter (as a double) and gauge into the sample
   /// series at virtual time `t`; histograms contribute "<name>.count" and
-  /// "<name>.sum".
+  /// "<name>.sum". Each instrument's series id is resolved at its first
+  /// sample and kept with the instrument, so a tick is one append per
+  /// series with no name lookup, and ids keep first-sample order.
   void SampleAll(double t);
 
   /// Appends an explicit sample (e.g. a per-run walltime the moment it
   /// completes) without touching any instrument.
-  void Record(double t, const std::string& series, double value);
+  void Record(double t, std::string_view series, double value);
 
-  /// Bulk-append path (sweep merge): resolve a series name to its id
-  /// once, then append samples by id — skips the per-sample name lookup.
-  uint32_t series_id(const std::string& series) { return InternName(series); }
+  /// Hot-path and bulk-append path (per-run series, sweep merge): resolve
+  /// a series name to its id once, then append samples by id — skips the
+  /// per-sample name lookup.
+  uint32_t series_id(std::string_view series) { return InternName(series); }
   void RecordById(double t, uint32_t series_id, double value) {
     samples_.push_back(MetricSample{t, series_id, value});
   }
@@ -126,22 +131,38 @@ class MetricsRegistry {
   size_t num_metric_names() const { return names_.size(); }
 
   /// All samples of one series, in recording order.
-  std::vector<MetricSample> SeriesSamples(const std::string& series) const;
+  std::vector<MetricSample> SeriesSamples(std::string_view series) const;
   /// Values only, for feeding analysis code (e.g. logdata::Spc).
-  std::vector<double> SeriesValues(const std::string& series) const;
+  std::vector<double> SeriesValues(std::string_view series) const;
 
   std::vector<std::string> CounterNames() const;
   std::vector<std::string> GaugeNames() const;
   std::vector<std::string> HistogramNames() const;
 
  private:
-  uint32_t InternName(const std::string& name);
+  uint32_t InternName(std::string_view name);
 
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  // Series id of an instrument not sampled yet.
+  static constexpr uint32_t kUnsampled = ~uint32_t{0};
+  struct CounterEntry {
+    Counter counter;
+    uint32_t series = kUnsampled;
+  };
+  struct GaugeEntry {
+    Gauge gauge;
+    uint32_t series = kUnsampled;
+  };
+  struct HistogramEntry {
+    Histogram histogram;
+    uint32_t count_series = kUnsampled;
+    uint32_t sum_series = kUnsampled;
+  };
+  // Transparent comparators: lookups by string_view build no std::string.
+  std::map<std::string, CounterEntry, std::less<>> counters_;
+  std::map<std::string, GaugeEntry, std::less<>> gauges_;
+  std::map<std::string, HistogramEntry, std::less<>> histograms_;
   std::vector<std::string> names_;
-  std::map<std::string, uint32_t> name_ids_;
+  std::map<std::string, uint32_t, std::less<>> name_ids_;
   std::vector<MetricSample> samples_;
 };
 

@@ -35,7 +35,7 @@ TraceRecorder::TraceRecorder() {
 }
 
 StrId TraceRecorder::Intern(std::string_view s) {
-  auto it = intern_.find(std::string(s));
+  auto it = intern_.find(s);
   if (it != intern_.end()) return it->second;
   StrId id = static_cast<StrId>(strings_.size());
   strings_.emplace_back(s);
@@ -52,6 +52,11 @@ void TraceRecorder::SpanArg(SpanId span, std::string_view key,
 void TraceRecorder::SpanArg(SpanId span, StrId key, double value) {
   if (span == 0) return;
   num_args_.push_back(NumArgRecord{span, key, value});
+}
+
+void TraceRecorder::SpanArg(SpanId span, StrId key, StrId value) {
+  if (span == 0) return;
+  str_args_.push_back(StrArgRecord{span, key, value});
 }
 
 void TraceRecorder::SpanArg(SpanId span, std::string_view key,

@@ -99,7 +99,9 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Interns `s`, returning a stable id; repeated calls are one hash probe.
+  /// Interns `s`, returning a stable id. A repeated call is one hash
+  /// probe keyed by the view itself: it allocates nothing. Ids are issued
+  /// in first-intern order.
   StrId Intern(std::string_view s);
   const std::string& str(StrId id) const { return strings_[id]; }
 
@@ -153,9 +155,10 @@ class TraceRecorder {
   /// Attaches an argument to a span (cold path).
   void SpanArg(SpanId span, std::string_view key, double value);
   void SpanArg(SpanId span, std::string_view key, std::string_view value);
-  /// Hot-path variant: the key is already interned (cache the StrId
-  /// alongside an epoch check, like PsResource's TraceCache does).
+  /// Hot-path variants: key (and value) already interned (cache the
+  /// StrId alongside an epoch check, like PsResource's TraceCache does).
   void SpanArg(SpanId span, StrId key, double value);
+  void SpanArg(SpanId span, StrId key, StrId value);
 
   /// Virtual-time clock for call sites without a Simulator* at hand (RAII
   /// Span guards, planner code). Installed by whoever owns the simulation;
@@ -182,8 +185,16 @@ class TraceRecorder {
   std::vector<InstantRecord> instants_;
   std::vector<NumArgRecord> num_args_;
   std::vector<StrArgRecord> str_args_;
+  // Transparent hash and equality: lookups by string_view build no
+  // std::string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, StrId> intern_;
+  std::unordered_map<std::string, StrId, ViewHash, std::equal_to<>> intern_;
   std::function<double()> clock_;
 };
 

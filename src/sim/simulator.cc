@@ -14,10 +14,6 @@ namespace {
 constexpr size_t kMinCompactSize = 64;
 }  // namespace
 
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
 void Simulator::RefreshMetricsCache(obs::MetricsRegistry* m) {
   metrics_.epoch = obs::ObsEpoch();
   metrics_.events = m->counter("sim.events_dispatched");
@@ -30,9 +26,18 @@ EventHandle Simulator::ScheduleAt(Time t, std::function<void()> fn,
   FF_DCHECK(t >= now_) << "ScheduleAt in the past: t=" << t
                        << " now=" << now_;
   EventHandle handle;
-  handle.state_ = std::make_shared<EventHandle::State>();
-  queue_.push_back(QueuedEvent{t, priority, next_seq_++, std::move(fn),
-                               handle.state_});
+  handle.sim_ = this;
+  handle.seq_ = next_seq_++;
+  if (free_slots_.empty()) {
+    handle.slot_ = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(handle.seq_);
+  } else {
+    handle.slot_ = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[handle.slot_] = handle.seq_;
+  }
+  queue_.push_back(
+      QueuedEvent{t, priority, handle.slot_, handle.seq_, std::move(fn)});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   return handle;
 }
@@ -45,7 +50,8 @@ EventHandle Simulator::ScheduleAfter(Time delay, std::function<void()> fn,
 
 bool Simulator::Cancel(EventHandle& handle) {
   if (!handle.pending()) return false;
-  handle.state_->cancelled = true;
+  FF_DCHECK(handle.sim_ == this) << "handle of another simulator";
+  FreeSlot(handle.slot_);
   ++cancelled_in_queue_;
   MaybeCompact();
   return true;
@@ -64,8 +70,8 @@ void Simulator::MaybeCompact() {
     return;
   }
   queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [](const QueuedEvent& ev) {
-                                return ev.state->cancelled;
+                              [this](const QueuedEvent& ev) {
+                                return IsTombstone(ev);
                               }),
                queue_.end());
   std::make_heap(queue_.begin(), queue_.end(), Later{});
@@ -79,13 +85,13 @@ void Simulator::MaybeCompact() {
 bool Simulator::Step() {
   while (!queue_.empty()) {
     QueuedEvent ev = PopTop();
-    if (ev.state->cancelled) {  // tombstone
+    if (IsTombstone(ev)) {
       --cancelled_in_queue_;
       continue;
     }
     FF_DCHECK(ev.time >= now_) << "event queue time went backwards";
     now_ = ev.time;
-    ev.state->fired = true;
+    FreeSlot(ev.slot);
     ++events_processed_;
     if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
       if (obs::ObsEpoch() != metrics_.epoch) RefreshMetricsCache(m);
@@ -108,7 +114,7 @@ void Simulator::RunUntil(Time t_end) {
   stopped_ = false;
   while (!stopped_) {
     // Peek past tombstones without dispatching.
-    while (!queue_.empty() && queue_.front().state->cancelled) {
+    while (!queue_.empty() && IsTombstone(queue_.front())) {
       PopTop();
       --cancelled_in_queue_;
     }

@@ -8,19 +8,24 @@
 //
 // The queue is an owned binary heap (std::vector + std::push_heap /
 // std::pop_heap) rather than std::priority_queue: events are *moved* out at
-// dispatch, so popping never copies the std::function payload or touches
-// the handle-state refcount. Cancelled events stay in the heap as
-// tombstones and are skipped at dispatch; when tombstones outnumber live
-// events the heap is compacted in one O(n) pass, keeping amortized
-// per-event cost at O(log n) even under heavy cancellation (every
-// PsResource reschedule cancels an event).
+// dispatch, so popping never copies the std::function payload. Cancelled
+// events stay in the heap as tombstones and are skipped at dispatch; when
+// tombstones outnumber live events the heap is compacted in one O(n) pass,
+// keeping amortized per-event cost at O(log n) even under heavy
+// cancellation (every PsResource reschedule cancels an event).
+//
+// Per-event state lives in storage the simulator owns: a handle is a slot
+// index plus the event's sequence number, and the slot holds the sequence
+// number of the live event using it. Firing or cancelling an event frees
+// its slot, so a queued event whose slot no longer names it is a
+// tombstone. Scheduling allocates nothing once the queue and the slot
+// table have grown to the scenario's peak.
 
 #ifndef FF_SIM_SIMULATOR_H_
 #define FF_SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "util/status.h"
@@ -37,7 +42,10 @@ namespace sim {
 /// Simulated time in seconds since the scenario epoch.
 using Time = double;
 
-/// Opaque handle for cancelling a scheduled event.
+class Simulator;
+
+/// Opaque handle for cancelling a scheduled event. A copy names the same
+/// event. Valid only while its simulator lives.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -48,11 +56,9 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  std::shared_ptr<State> state_;
+  const Simulator* sim_ = nullptr;
+  uint64_t seq_ = 0;
+  uint32_t slot_ = 0;
 };
 
 /// The event-queue kernel.
@@ -99,12 +105,14 @@ class Simulator {
   size_t queue_size() const { return queue_.size(); }
 
  private:
+  friend class EventHandle;
+
   struct QueuedEvent {
     Time time;
     int priority;
+    uint32_t slot;
     uint64_t seq;
     std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
   };
   struct Later {
     bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
@@ -114,6 +122,17 @@ class Simulator {
     }
   };
 
+  // A slot holds kFreeSlot or the sequence number of its pending event.
+  static constexpr uint64_t kFreeSlot = ~uint64_t{0};
+
+  bool IsTombstone(const QueuedEvent& ev) const {
+    return slots_[ev.slot] != ev.seq;
+  }
+  // Marks the event in `slot` fired or cancelled and recycles the slot.
+  void FreeSlot(uint32_t slot) {
+    slots_[slot] = kFreeSlot;
+    free_slots_.push_back(slot);
+  }
   // Pops the heap top (which must exist) into a movable value.
   QueuedEvent PopTop();
   // Rebuilds the heap without tombstones once they exceed half the queue.
@@ -132,6 +151,8 @@ class Simulator {
   void RefreshMetricsCache(obs::MetricsRegistry* m);
 
   std::vector<QueuedEvent> queue_;
+  std::vector<uint64_t> slots_;
+  std::vector<uint32_t> free_slots_;
   MetricsCache metrics_;
   size_t cancelled_in_queue_ = 0;
   Time now_ = 0.0;
@@ -139,6 +160,10 @@ class Simulator {
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
 };
+
+inline bool EventHandle::pending() const {
+  return sim_ != nullptr && sim_->slots_[slot_] == seq_;
+}
 
 }  // namespace sim
 }  // namespace ff

@@ -40,6 +40,9 @@ util::StatusOr<CampaignResult> RunSmallCampaign(const CampaignConfig& cfg,
 }
 
 TEST(CampaignObsTest, SpanCountsMatchResultRecords) {
+  if (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled out (FF_TRACING=OFF)";
+  }
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   obs::ScopedObservability scope(&trace, &metrics);
@@ -73,6 +76,9 @@ TEST(CampaignObsTest, SpanCountsMatchResultRecords) {
 }
 
 TEST(CampaignObsTest, ChromeExportIsByteStableUnderFixedSeed) {
+  if (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled out (FF_TRACING=OFF)";
+  }
   std::string json[2];
   for (int i = 0; i < 2; ++i) {
     obs::TraceRecorder trace;
@@ -102,6 +108,9 @@ TEST(CampaignObsTest, ObservabilityDoesNotChangeSimulatedOutcomes) {
 }
 
 TEST(CampaignObsTest, SpcMonitorSignalsAndReplansUnderGuestLoad) {
+  if (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled out (FF_TRACING=OFF)";
+  }
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   obs::ScopedObservability scope(&trace, &metrics);
@@ -146,6 +155,39 @@ TEST(CampaignObsTest, NoRecorderMeansNoSpansAndNoSamples) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(obs::ActiveTrace(), nullptr);
   EXPECT_EQ(obs::ActiveMetrics(), nullptr);
+}
+
+TEST(CampaignObsTest, CompiledOutHooksRecordNothing) {
+  // The FF_TRACING=OFF contract: installing recorders is inert, nothing is
+  // recorded, and the campaign's records are those of an unobserved run.
+  if (obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled in (FF_TRACING=ON)";
+  }
+  auto base = RunSmallCampaign(BaseConfig(4));
+  ASSERT_TRUE(base.ok());
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  obs::ScopedObservability scope(&trace, &metrics);
+  EXPECT_EQ(obs::ActiveTrace(), nullptr);
+  EXPECT_EQ(obs::ActiveMetrics(), nullptr);
+  auto observed = RunSmallCampaign(BaseConfig(4));
+  ASSERT_TRUE(observed.ok());
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_TRUE(trace.instants().empty());
+  EXPECT_TRUE(metrics.samples().empty());
+  EXPECT_TRUE(metrics.CounterNames().empty());
+  EXPECT_TRUE(metrics.GaugeNames().empty());
+  ASSERT_EQ(base->records.size(), observed->records.size());
+  for (size_t i = 0; i < base->records.size(); ++i) {
+    const auto& a = base->records[i];
+    const auto& b = observed->records[i];
+    EXPECT_EQ(a.forecast, b.forecast);
+    EXPECT_EQ(a.day, b.day);
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.start_time, b.start_time);
+    EXPECT_EQ(a.walltime, b.walltime);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,22 @@ TEST(TraceRecorderTest, InternIsStableAndDeduplicates) {
   EXPECT_EQ(tr.str(0), "");  // id 0 is reserved for the empty string
 }
 
+TEST(TraceRecorderTest, InternByViewMatchesInternByString) {
+  TraceRecorder tr;
+  const std::string long_name = "forecast-tillamook-bay-nowcast";
+  StrId by_string = tr.Intern(long_name);
+  // A view into a larger buffer: only the viewed bytes form the key.
+  const std::string buffer = long_name + "#wip3";
+  std::string_view view(buffer.data(), long_name.size());
+  EXPECT_EQ(tr.Intern(view), by_string);
+  StrId first_by_view = tr.Intern(std::string_view(buffer));
+  EXPECT_NE(first_by_view, by_string);
+  EXPECT_EQ(tr.Intern(std::string(buffer)), first_by_view);
+  EXPECT_EQ(tr.str(first_by_view), buffer);
+  EXPECT_EQ(tr.Intern(std::string_view()), 0u);
+  EXPECT_EQ(tr.num_strings(), 3u);
+}
+
 TEST(TraceRecorderTest, SpanLifecycleAndCounts) {
   TraceRecorder tr;
   SpanId run = tr.BeginSpan(10.0, SpanCategory::kRun, "r", "runs");
@@ -76,7 +92,9 @@ TEST(TraceRecorderTest, SideTableArgs) {
 }
 
 TEST(ScopedObservabilityTest, InstallRestoreAndEpochBump) {
-  ASSERT_TRUE(kTracingCompiledIn);
+  if (!kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled out (FF_TRACING=OFF)";
+  }
   EXPECT_EQ(ActiveTrace(), nullptr);
   uint64_t e0 = ObsEpoch();
   {
@@ -100,6 +118,9 @@ TEST(ScopedObservabilityTest, InstallRestoreAndEpochBump) {
 }
 
 TEST(SpanRaiiTest, NoopWithoutRecorderRecordsWithOne) {
+  if (!kTracingCompiledIn) {
+    GTEST_SKIP() << "hooks compiled out (FF_TRACING=OFF)";
+  }
   { Span s(SpanCategory::kPlan, "p", "planner"); }  // no recorder: no-op
   TraceRecorder tr;
   tr.SetClock([] { return 42.0; });
