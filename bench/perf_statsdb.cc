@@ -25,8 +25,11 @@
 //                   full sort).
 //   indexed_point — hash-index equality scan + residual conjuncts.
 //
+// The columnar section runs on its own hardware-sized pool, as a
+// production caller that passes one would.
+//
 // A second section measures the morsel-parallel executor
-// (statsdb/parallel_exec.h) on scan-heavy cases: serial vectorized vs
+// (statsdb/exec.h) on scan-heavy cases: serial vectorized vs
 // 4 and 8 worker threads, with three gates —
 //   determinism — parallel CSV output must be BYTE-identical to the
 //                 serial vectorized engine at 1, 4 and 16 threads;
@@ -38,6 +41,9 @@
 //                 inside pool tasks on ONE shared pool (nested
 //                 TaskGroups, no oversubscription) and every replica
 //                 must reproduce the expected bytes.
+//
+// For each rep of the 4-thread lane it also prints the pool's parks,
+// idle time and occupancy over that rep (a diagnostic, no gate).
 //
 // Method: reps are interleaved engine-by-engine (ref, vec, ref, vec, ...)
 // so machine-load drift hits both engines equally; each point reports the
@@ -53,10 +59,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -67,7 +76,6 @@
 #include "parallel/thread_pool.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
 #include "statsdb/planner.h"
 #include "statsdb/sql.h"
@@ -186,6 +194,13 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   std::string json_rows;
   bool ok = true;
+  // A hardware-sized pool for this section only: the parallel section
+  // below starts with just its own pools' threads.
+  auto columnar_pool = std::make_unique<parallel::ThreadPool>(
+      parallel::ThreadPool::DefaultThreads());
+  statsdb::ParallelConfig columnar_cfg;
+  columnar_cfg.pool = columnar_pool.get();
+  db.set_parallel_config(columnar_cfg);
   for (const auto& c : cases) {
     auto plan = statsdb::PlanSql(c.sql);
     if (!plan.ok()) {
@@ -247,6 +262,8 @@ int main(int argc, char** argv) {
     json_rows += buf;
     points.push_back(pt);
   }
+  db.set_parallel_config(statsdb::ParallelConfig{});
+  columnar_pool.reset();
 
   // ----- Morsel-parallel executor: scaling, determinism, composition.
   const size_t hw = parallel::ThreadPool::DefaultThreads();
@@ -255,11 +272,9 @@ int main(int argc, char** argv) {
   parallel::ThreadPool pool4(4);
   parallel::ThreadPool pool8(8);
   parallel::ThreadPool pool16(16);
-  auto par_config = [&](size_t threads,
-                        parallel::ThreadPool* pool) {
+  auto par_config = [](parallel::ThreadPool* pool) {
     statsdb::ParallelConfig cfg;
-    cfg.max_threads = threads;
-    cfg.pool = pool;
+    cfg.pool = pool;  // null: serial
     cfg.min_chunks = 2;  // smoke tables are only 2 chunks
     return cfg;
   };
@@ -306,9 +321,8 @@ int main(int argc, char** argv) {
     };
     for (const Variant& v :
          {Variant{1, nullptr}, Variant{4, &pool4}, Variant{16, &pool16}}) {
-      auto rs =
-          statsdb::ExecuteParallel(optimized, db, par_config(v.threads,
-                                                             v.pool));
+      const statsdb::ParallelConfig cfg = par_config(v.pool);
+      auto rs = statsdb::ExecuteColumnar(*optimized, db, nullptr, &cfg);
       if (!rs.ok() || rs->ToCsv() != expected) {
         std::fprintf(stderr,
                      "%s: parallel output at %zu threads diverges from "
@@ -318,6 +332,13 @@ int main(int argc, char** argv) {
       }
     }
 
+    const statsdb::ParallelConfig cfg4 = par_config(&pool4);
+    const statsdb::ParallelConfig cfg8 = par_config(&pool8);
+    // The 4-thread pool's counters over each rep (PoolRuntimeProfile::
+    // Since): a diagnostic for slow first-pass reps, recorded only. A
+    // worker's idle time is credited when it wakes, so a rep's idle_ms
+    // includes parks that began before the rep.
+    std::vector<std::pair<double, obs::PoolRuntimeProfile>> pool4_reps;
     auto timings = bench::MeasureInterleaved(
         {[&] {
            return WallMs([&] {
@@ -326,16 +347,19 @@ int main(int argc, char** argv) {
            });
          },
          [&] {
-           return WallMs([&] {
-             auto rs = statsdb::ExecuteParallel(optimized, db,
-                                                par_config(4, &pool4));
+           const obs::PoolRuntimeProfile before = pool4.RuntimeProfile();
+           const double ms = WallMs([&] {
+             auto rs = statsdb::ExecuteColumnar(*optimized, db, nullptr,
+                                                &cfg4);
              if (!rs.ok()) std::abort();
            });
+           pool4_reps.emplace_back(ms, pool4.RuntimeProfile().Since(before));
+           return ms;
          },
          [&] {
            return WallMs([&] {
-             auto rs = statsdb::ExecuteParallel(optimized, db,
-                                                par_config(8, &pool8));
+             auto rs = statsdb::ExecuteColumnar(*optimized, db, nullptr,
+                                                &cfg8);
              if (!rs.ok()) std::abort();
            });
          }},
@@ -348,6 +372,16 @@ int main(int argc, char** argv) {
     std::printf("%s,%zu,%.3f,%.3f,%.3f,%.2f,%.2f\n", c.name,
                 serial_rs->rows.size(), serial_ms, par4_ms, par8_ms,
                 speedup4, speedup8);
+    for (size_t r = 0; r < pool4_reps.size(); ++r) {
+      const auto& [ms, window] = pool4_reps[r];
+      uint64_t parks = 0;
+      for (const auto& w : window.workers) parks += w.parks;
+      std::printf("# %s pool4 rep %zu: par4_ms=%.3f parks=%llu "
+                  "idle_ms=%.3f occupancy=%.3f\n",
+                  c.name, r, ms, static_cast<unsigned long long>(parks),
+                  static_cast<double>(window.TotalIdleNs()) / 1e6,
+                  window.Occupancy());
+    }
     // The scaling floor only means something on a host with the cores
     // to scale onto; otherwise record the measurement, disarm the gate
     // and leave "hw" in the JSON to say why.
@@ -393,11 +427,11 @@ int main(int argc, char** argv) {
     sopt.record_traces = false;
     sopt.record_metrics = false;
     parallel::SweepRunner runner(sopt);
+    const statsdb::ParallelConfig shared_cfg = par_config(&shared);
     std::atomic<int> mismatches{0};
     runner.Run(kComposeReplicas, [&](parallel::ReplicaContext&) {
       for (const auto& [plan, expected] : compose_expected) {
-        auto rs =
-            statsdb::ExecuteParallel(plan, db, par_config(4, &shared));
+        auto rs = statsdb::ExecuteColumnar(*plan, db, nullptr, &shared_cfg);
         if (!rs.ok() || rs->ToCsv() != expected) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
@@ -427,12 +461,10 @@ int main(int argc, char** argv) {
     const auto& [topk_plan, topk_expected] = compose_expected.back();
     const statsdb::ParallelConfig saved_cfg = db.parallel_config();
     obs::QueryProfile serial_profile;
-    statsdb::ParallelConfig serial_cfg;
-    serial_cfg.max_threads = 1;
-    db.set_parallel_config(serial_cfg);
+    db.set_parallel_config(par_config(nullptr));
     auto serial_rs = statsdb::ExecutePlan(topk_plan, db, &serial_profile);
     obs::QueryProfile par_profile;
-    db.set_parallel_config(par_config(4, &pool4));
+    db.set_parallel_config(par_config(&pool4));
     auto par_rs = statsdb::ExecutePlan(topk_plan, db, &par_profile);
     db.set_parallel_config(saved_cfg);
     if (!serial_rs.ok() || serial_rs->ToCsv() != topk_expected ||
@@ -484,9 +516,7 @@ int main(int argc, char** argv) {
   const double kWarmFloor = 50.0;
   std::string cache_json = "{}";
   {
-    statsdb::ParallelConfig dash_serial;
-    dash_serial.max_threads = 1;
-    db.set_parallel_config(dash_serial);
+    db.set_parallel_config(statsdb::ParallelConfig{});  // serial
     statsdb::CacheConfig cache_off;  // mode kOff
     statsdb::CacheConfig cache_full;
     cache_full.mode = statsdb::CacheConfig::Mode::kFull;

@@ -18,7 +18,7 @@
 #include "parallel/thread_pool.h"
 #include "statsdb/csv_io.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
+#include "statsdb/exec.h"
 #include "statsdb/planner.h"
 #include "statsdb/sql.h"
 #include "util/rng.h"
@@ -272,8 +272,7 @@ void BM_Fleet_GroupByNodeParallel(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   parallel::ThreadPool pool(threads);
   statsdb::ParallelConfig cfg;
-  cfg.max_threads = threads;
-  cfg.pool = threads > 1 ? &pool : nullptr;
+  cfg.pool = &pool;  // one thread runs serially
   cfg.min_chunks = 2;
   auto plan = statsdb::PlanSql(
       "SELECT node, COUNT(*) AS n, AVG(walltime) AS w FROM runs "
@@ -281,7 +280,7 @@ void BM_Fleet_GroupByNodeParallel(benchmark::State& state) {
   if (!plan.ok()) std::abort();
   statsdb::PlanPtr optimized = statsdb::OptimizePlan(*plan, *db);
   for (auto _ : state) {
-    auto rs = statsdb::ExecuteParallel(optimized, *db, cfg);
+    auto rs = statsdb::ExecuteColumnar(*optimized, *db, nullptr, &cfg);
     if (!rs.ok()) std::abort();
     benchmark::DoNotOptimize(rs->rows.size());
   }
@@ -293,8 +292,7 @@ void BM_Fleet_TopKWalltimeParallel(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   parallel::ThreadPool pool(threads);
   statsdb::ParallelConfig cfg;
-  cfg.max_threads = threads;
-  cfg.pool = threads > 1 ? &pool : nullptr;
+  cfg.pool = &pool;  // one thread runs serially
   cfg.min_chunks = 2;
   auto plan = statsdb::PlanSql(
       "SELECT forecast, day, walltime FROM runs "
@@ -302,7 +300,7 @@ void BM_Fleet_TopKWalltimeParallel(benchmark::State& state) {
   if (!plan.ok()) std::abort();
   statsdb::PlanPtr optimized = statsdb::OptimizePlan(*plan, *db);
   for (auto _ : state) {
-    auto rs = statsdb::ExecuteParallel(optimized, *db, cfg);
+    auto rs = statsdb::ExecuteColumnar(*optimized, *db, nullptr, &cfg);
     if (!rs.ok()) std::abort();
     benchmark::DoNotOptimize(rs->rows.size());
   }

@@ -94,14 +94,10 @@ util::Status Server::Start() {
   pool_ = std::make_unique<parallel::ThreadPool>(config_.pool_threads);
 
   // Wire morsel parallelism onto the server's own pool so session tasks
-  // and query morsels share workers (the PR 7 nested-submission
-  // contract). FF_STATSDB_PARALLEL still wins on the thread cap when
-  // set; the database keeps its own morsel sizing.
+  // and query morsels share workers (TaskGroup's nested-submission
+  // contract); the database keeps its own morsel sizing.
   statsdb::ParallelConfig pc = db_.parallel_config();
   pc.pool = pool_.get();
-  if (std::getenv("FF_STATSDB_PARALLEL") == nullptr) {
-    pc.max_threads = config_.pool_threads;
-  }
   db_.set_parallel_config(pc);
 
   // Served databases default the query cache fully on — dashboards

@@ -22,7 +22,7 @@
 //    (Insert, UpdateCells, DeleteRows, BulkAppender::EndRow) invalidates
 //    implicitly — there is no invalidation hook to forget. The parallel
 //    config is deliberately NOT part of the key: the engines are
-//    byte-identical at any pool size (parallel_exec.h contract), so a
+//    byte-identical at any pool size (exec.h contract), so a
 //    result computed serially may legally serve a parallel session.
 //
 // Correctness contract (tested by the property suite's cache lane):
@@ -40,13 +40,14 @@
 // hammers it under the CI TSan job); whether a whole Database may be
 // shared across threads is governed by Database's own contract.
 //
-// Knob: FF_STATSDB_CACHE mirrors FF_STATSDB_PARALLEL —
+// Knob: the FF_STATSDB_CACHE environment variable seeds each new
+// Database's config —
 //   FF_STATSDB_CACHE=off|0|false     disabled (the default)
 //   FF_STATSDB_CACHE=plan            plan tier only
 //   FF_STATSDB_CACHE=full|on|1|true  both tiers
 //   FF_STATSDB_CACHE=full:E          ... result entry cap E
 //   FF_STATSDB_CACHE=full:E:B        ... and result byte budget B
-// Caching defaults OFF (unlike parallelism) because a cache hit
+// Caching defaults OFF because a cache hit
 // short-circuits execution entirely: engine-comparison tests and
 // profiling runs must opt in, not discover their engines were never
 // exercised.

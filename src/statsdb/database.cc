@@ -1,23 +1,14 @@
 #include "statsdb/database.h"
 
-#include "parallel/thread_pool.h"
 #include "statsdb/sql.h"
 
 namespace ff {
 namespace statsdb {
 
 Database::Database()
-    : parallel_config_(ParallelConfig::FromEnv()),
-      cache_(std::make_unique<QueryCache>(CacheConfig::FromEnv())) {}
+    : cache_(std::make_unique<QueryCache>(CacheConfig::FromEnv())) {}
 
 Database::~Database() = default;
-
-parallel::ThreadPool* Database::parallel_pool(size_t threads) const {
-  if (query_pool_ == nullptr || query_pool_->num_threads() != threads) {
-    query_pool_ = std::make_unique<parallel::ThreadPool>(threads);
-  }
-  return query_pool_.get();
-}
 
 util::StatusOr<Table*> Database::CreateTable(const std::string& name,
                                              Schema schema) {

@@ -3,13 +3,13 @@
 #ifndef FF_STATSDB_DATABASE_H_
 #define FF_STATSDB_DATABASE_H_
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "statsdb/cache.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/query.h"
 #include "statsdb/sql.h"
 #include "statsdb/table.h"
@@ -21,10 +21,25 @@ class ThreadPool;
 
 namespace statsdb {
 
-/// A named collection of tables. Not thread-safe (the factory drives it
-/// from the single-threaded simulation loop, as the paper's daily Perl
-/// crawl did); parallel query execution fans out internally but the
-/// coordinating call still comes from one thread at a time.
+/// Morsel-parallel execution settings of a Database (exec.h states the
+/// determinism contract). A query fans out only when `pool` is set and
+/// has more than one thread; otherwise it runs serially.
+struct ParallelConfig {
+  /// Pool the morsels run on (not owned; e.g. the server's pool or a
+  /// SweepRunner's shared pool). Null: every query runs serially.
+  parallel::ThreadPool* pool = nullptr;
+  /// Chains whose zone-map survey yields fewer chunks than this stay
+  /// serial: tiny queries should not pay fan-out overhead.
+  size_t min_chunks = 4;
+};
+
+/// A named collection of tables. Reads may run on any number of threads
+/// at once: SELECTs (through Sql, Prepare and a PreparedStatement's
+/// Execute, or ExecutePlan) and the catalog accessors share no mutable
+/// state but the internally synchronized cache. Mutations run
+/// exclusively, with no read in flight: a write statement through Sql
+/// or ExecuteWrite, CreateTable, DropTable, writes through a Table*,
+/// and the config setters. The server holds a shared_mutex for this.
 class Database {
  public:
   Database();
@@ -53,18 +68,12 @@ class Database {
   /// once, Execute(params) only binds and runs. See sql.h.
   util::StatusOr<PreparedStatement> Prepare(const std::string& statement);
 
-  /// Morsel-parallel execution knobs (seeded from FF_STATSDB_PARALLEL;
-  /// see parallel_exec.h). Queries issued through ExecutePlan/Sql
-  /// consult this config.
+  /// Morsel-parallel execution settings; queries issued through
+  /// ExecutePlan/Sql run with them. Default: no pool, serial.
   const ParallelConfig& parallel_config() const { return parallel_config_; }
   void set_parallel_config(ParallelConfig config) {
     parallel_config_ = std::move(config);
   }
-
-  /// The pool parallel queries run on when the config names no external
-  /// one: lazily created at the requested size, recreated when the size
-  /// changes, and never created at all while queries stay serial.
-  parallel::ThreadPool* parallel_pool(size_t threads) const;
 
   /// Query cache (plan + result tiers, cache.h), seeded from
   /// FF_STATSDB_CACHE. Mutable through const because execution paths
@@ -84,7 +93,6 @@ class Database {
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;
   ParallelConfig parallel_config_;
-  mutable std::unique_ptr<parallel::ThreadPool> query_pool_;
   std::unique_ptr<QueryCache> cache_;
   uint64_t catalog_epoch_ = 0;
 };

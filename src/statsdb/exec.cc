@@ -8,8 +8,8 @@
 
 #include "obs/runtime_stats.h"
 #include "parallel/thread_pool.h"
+#include "statsdb/cache.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
 #include "statsdb/planner.h"
 #include "util/logging.h"
@@ -1158,6 +1158,11 @@ std::vector<PlanPtr> PlanInputs(const PlanNode& plan) {
 util::StatusOr<IterPtr> BuildIterator(const PlanNode& plan, const Database& db,
                                       obs::OperatorProfile* prof,
                                       const ParallelConfig* par) {
+  // One thread gains nothing from morsels: the tree stays serial.
+  if (par != nullptr &&
+      (par->pool == nullptr || par->pool->num_threads() <= 1)) {
+    par = nullptr;
+  }
   return Build(plan, db, par, /*full=*/true, prof);
 }
 
@@ -1365,12 +1370,47 @@ std::vector<std::string> ExplainPlanLines(const PlanNode& plan) {
 util::StatusOr<ResultSet> ExecutePlan(const PlanPtr& plan,
                                       const Database& db,
                                       obs::QueryProfile* profile) {
-  PlanPtr optimized = OptimizePlan(plan, db);
-  // Consults the result cache when the database's cache config enables
-  // it, then dispatches to the morsel-parallel executor when the
-  // parallel config (and the hardware) allow it; byte-identical results
-  // in every combination, with a zero-overhead serial path otherwise.
-  return ExecuteOptimized(optimized, db, profile);
+  return ExecuteOptimized(OptimizePlan(plan, db), db, profile);
+}
+
+util::StatusOr<ResultSet> ExecuteOptimized(const PlanPtr& optimized,
+                                           const Database& db,
+                                           obs::QueryProfile* profile) {
+  if (optimized == nullptr) {
+    return util::Status::InvalidArgument("null plan");
+  }
+  const int64_t t0 = profile == nullptr ? 0 : ProfileNowNs();
+  // Sets profile->total_ns to the whole call, the cache lookup included.
+  auto stamp_total = [&] {
+    if (obs::kProfilingCompiledIn && profile != nullptr) {
+      profile->total_ns = static_cast<uint64_t>(ProfileNowNs() - t0);
+    }
+  };
+  QueryCache& qc = db.cache();
+  QueryCache::ResultKey key;
+  if (qc.config().mode == CacheConfig::Mode::kFull) {
+    key = QueryCache::MakeResultKey(*optimized, db);
+  }
+  if (!key.cacheable) {
+    qc.RecordResultBypass();
+    if (profile != nullptr) profile->cache = "bypass";
+  } else if (std::shared_ptr<const ResultSet> hit = qc.GetResult(key)) {
+    // Nothing executed: no operator tree, and the engine label says so.
+    // The result bytes are identical to a real run by contract.
+    if (profile != nullptr) {
+      profile->cache = "hit";
+      profile->engine = "cache";
+    }
+    stamp_total();
+    return *hit;  // copy out; the cached ResultSet stays immutable
+  } else if (profile != nullptr) {
+    profile->cache = "miss";
+  }
+  auto result =
+      ExecuteColumnar(*optimized, db, profile, &db.parallel_config());
+  stamp_total();
+  if (key.cacheable && result.ok()) qc.PutResult(key, *result);
+  return result;
 }
 
 }  // namespace statsdb

@@ -6,11 +6,38 @@
 // (aggregate, sort, join, distinct) emit batches of exact Values. Plans
 // coming from Query/SQL run here after the planner pass (planner.h).
 //
-// Morsel parallelism lives inside the operator tree: given a pool,
-// BuildIterator builds a Gather iterator where a scan chain can be split
-// by chunk, and the Gather runs one morsel per surviving chunk on the
-// pool, then yields the morsels' batches in chunk order: the serial
-// chain's own batch stream (parallel_exec.h states the contract).
+// Morsel parallelism lives inside the operator tree, not in a plan
+// rewrite: given a pool of more than one thread (ParallelConfig,
+// database.h), BuildIterator builds a Gather iterator wherever a scan
+// chain (Filter/Project operators over one Scan leaf) is drained in
+// full — under an Aggregate, a Distinct, a top-k Sort, a hash join or
+// any other full consumer. The Gather prepares the scan once (table
+// lookup, index probe), surveys the chunks that survive zone-map
+// pruning, and on its first pull runs one morsel per surviving 4096-row
+// chunk on the pool with a TaskGroup (safe even when the query itself
+// runs inside a pool task, e.g. a sweep replica). A morsel runs the
+// serial operators over its chunk, capped by its own copy of the
+// Distinct or top-k Sort it feeds, and emits at most one batch.
+//
+// Determinism contract: results are byte-identical to the serial
+// engine — row order, group order, every bit of every double, and error
+// messages — at any thread count. It holds by construction: a serial
+// scan chain emits one batch per surviving chunk, in chunk order, and a
+// morsel is exactly one chunk, so
+//  - the Gather yields the morsels' batches in chunk order: the serial
+//    chain's batch stream. The serial Distinct or Sort above it does
+//    the combine pass, so duplicates and ties resolve by chunk, then by
+//    arrival inside the chunk: the serial arrival order;
+//  - under an Aggregate, each morsel folds its batch into its own
+//    GroupedAgg partials and the Aggregate merges them in morsel order:
+//    the serial operator's own sequence of AggState::Merge calls;
+//  - Init errors come out at build time, in the serial DFS order: the
+//    coordinator prepares the scan and builds morsel 0 there;
+//  - the first runtime error is the lowest failing morsel's, raised on
+//    the Gather's first pull, where the serial engine would raise it:
+//    a chunk's errors do not depend on the thread that runs it.
+// Chains consumed with early exit (under a Limit with no intervening
+// breaker) are never fanned out.
 
 #ifndef FF_STATSDB_EXEC_H_
 #define FF_STATSDB_EXEC_H_
@@ -49,7 +76,8 @@ class BatchIterator {
 /// and — with FF_PROFILING compiled in — every iterator is wrapped to
 /// time Next() and count batches/rows; `prof` must outlive the iterator.
 ///
-/// With a non-null `par`, whose `pool` must be set, every scan chain
+/// With a non-null `par` whose pool has more than one thread (otherwise
+/// the tree is serial, as with a null `par`), every scan chain
 /// (Filter/Project over one Scan) that is drained in full and keeps at
 /// least max(2, par->min_chunks) chunks after the zone-map survey is
 /// built as a Gather over morsels run on `par->pool`: under an
@@ -155,10 +183,16 @@ util::StatusOr<ResultSet> Drain(BatchIterator& it);
 
 /// Runs `plan` through the vectorized engine as-is (no planner pass) and
 /// materializes the result: BuildIterator(plan, db, ..., par), then
-/// Drain. A non-null `profile` gets the per-operator tree
-/// (profile->root), profile->total_ns, and profile->engine: "parallel"
-/// when a Gather was built, else "serial". The rows are the same either
-/// way, because the profiled iterators are pass-through observers.
+/// Drain. Cache-free, so tests can always reach the engine. A non-null
+/// `profile` gets the per-operator tree (profile->root),
+/// profile->total_ns, and profile->engine: "parallel" when a Gather was
+/// built, else "serial". Each fanned-out chain appears as a
+/// "Parallel[<op>]" node under the operator it feeds, carrying the
+/// morsel count, the slowest morsel, the aggregate's partial-merge time,
+/// and the per-morsel chain profile merged in morsel order (chain wall
+/// times are CPU time summed across morsels). The rows are the same
+/// either way, because the profiled iterators are pass-through
+/// observers.
 util::StatusOr<ResultSet> ExecuteColumnar(const PlanNode& plan,
                                           const Database& db,
                                           obs::QueryProfile* profile = nullptr,
@@ -174,12 +208,24 @@ std::string NodeLabel(const PlanNode& plan);
 std::vector<std::string> ExplainPlanLines(const PlanNode& plan);
 
 /// Production entry point: optimizes `plan` (predicate pushdown, index
-/// selection, top-k) and executes it through ExecuteOptimized
-/// (parallel_exec.h) with the database's cache and parallel configs.
-/// A non-null `profile` is filled as ExecuteOptimized describes.
+/// selection, top-k) and executes it through ExecuteOptimized.
 util::StatusOr<ResultSet> ExecutePlan(const PlanPtr& plan,
                                       const Database& db,
                                       obs::QueryProfile* profile = nullptr);
+
+/// Production execution of an already-optimized plan: consults the
+/// database's result cache (cache.h), then runs ExecuteColumnar with the
+/// database's parallel config. Successful results are stored; error
+/// results never are (re-execution is byte-identical and cheap).
+/// ExecutePlan, Database::Sql and PreparedStatement::Execute all funnel
+/// through here. A non-null `profile` is filled as ExecuteColumnar fills
+/// it, with total_ns spanning the cache lookup, plus `profile->cache`:
+/// "hit" (served from the result cache, nothing executed — the operator
+/// tree stays empty and engine reports "cache"), "miss" (consulted,
+/// executed, stored), or "bypass" (cache off or plan uncacheable).
+util::StatusOr<ResultSet> ExecuteOptimized(
+    const PlanPtr& optimized, const Database& db,
+    obs::QueryProfile* profile = nullptr);
 
 }  // namespace statsdb
 }  // namespace ff

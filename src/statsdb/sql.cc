@@ -12,7 +12,6 @@
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/planner.h"
 #include "util/strings.h"
 

@@ -19,7 +19,6 @@
 #include "net/wire.h"
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/table.h"
 #include "util/status.h"
 

@@ -3,12 +3,11 @@
 // Executes a logical plan by materializing every intermediate result as
 // whole rows and evaluating expressions with Expr::Eval, one row at a
 // time: the simplest correct reading of each operator. The vectorized
-// executor (statsdb/exec.h) and the morsel-parallel executor
-// (statsdb/parallel_exec.h) are checked against it. Planner annotations
-// are hints it ignores: a Sort always runs a full std::stable_sort (the
-// planner sets limit_hint only under a Limit, which then takes the same
-// prefix), and an index annotation never changes which rows a scan's
-// predicate keeps.
+// executor (statsdb/exec.h), serial and morsel-parallel, is checked
+// against it. Planner annotations are hints it ignores: a Sort always
+// runs a full std::stable_sort (the planner sets limit_hint only under a
+// Limit, which then takes the same prefix), and an index annotation
+// never changes which rows a scan's predicate keeps.
 
 #ifndef FF_TESTS_ORACLE_ROW_ENGINE_H_
 #define FF_TESTS_ORACLE_ROW_ENGINE_H_

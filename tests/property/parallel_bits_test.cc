@@ -24,7 +24,6 @@
 #include "statsdb/column_store.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/sql.h"
 #include "statsdb/table.h"
 #include "util/rng.h"
@@ -168,8 +167,7 @@ class StatsDbParallelBitsTest : public ::testing::Test {
   /// keeps two or more chunks) the 4- and 16-thread runs must really run
   /// morsels: their profiled run reports the parallel engine.
   void ExpectBitIdentical(const std::string& sql, bool fans_out = true) {
-    ParallelConfig serial;
-    serial.max_threads = 1;
+    const ParallelConfig serial;  // no pool
     db_.set_parallel_config(serial);
     auto base = db_.Sql(sql);
     ASSERT_TRUE(base.ok()) << sql << "\n" << base.status().ToString();
@@ -183,7 +181,6 @@ class StatsDbParallelBitsTest : public ::testing::Test {
     for (const Variant& var : variants) {
       SCOPED_TRACE(sql + "\nthreads=" + std::to_string(var.threads));
       ParallelConfig cfg;
-      cfg.max_threads = var.threads;
       cfg.min_chunks = 2;
       cfg.pool = var.pool;
       db_.set_parallel_config(cfg);
@@ -264,7 +261,6 @@ TEST_F(StatsDbParallelBitsTest, MorselRowsCountChainRowsForEveryOp) {
   for (size_t i = 0; i < std::size(cases); ++i) {
     SCOPED_TRACE(cases[i].second);
     ParallelConfig cfg;
-    cfg.max_threads = 4;
     cfg.min_chunks = 2;
     cfg.pool = &pool4_;
     db_.set_parallel_config(cfg);
@@ -306,7 +302,6 @@ TEST_F(StatsDbParallelBitsTest, MorselsRunOnlyWhenTheOperatorAbovePulls) {
       SCOPED_TRACE(std::string(sql) +
                    "\nthreads=" + std::to_string(var.threads));
       ParallelConfig cfg;
-      cfg.max_threads = var.threads;
       cfg.min_chunks = 2;
       cfg.pool = var.pool;
       db_.set_parallel_config(cfg);

@@ -1,7 +1,7 @@
 // Property test: randomized SQL SELECTs run through three engines — the
 // vectorized engine (planner + exec.h, what production uses), the
-// test-only row-at-a-time oracle (tests/oracle), and the morsel-parallel
-// executor (parallel_exec.h) at pool sizes 1, 4 and 16.
+// test-only row-at-a-time oracle (tests/oracle), and the same engine
+// morsel-parallel (exec.h) at pool sizes 1, 4 and 16.
 //
 // Vectorized-vs-reference comparison is ordering-insensitive (rendered
 // rows are sorted) unless the query has an ORDER BY, in which case row
@@ -25,7 +25,6 @@
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
 #include "statsdb/sql.h"
 #include "statsdb/table.h"
@@ -52,13 +51,13 @@ class StatsDbPropertyTest : public ::testing::Test {
   // Runs `plan` through the parallel executor at pool sizes 1/4/16 and
   // asserts the result — success CSV or error string — is byte-identical
   // to the serial vectorized engine. min_chunks drops to 2 because the
-  // test table is only two chunks (5000 rows); explicit max_threads > 1
-  // forces a real fan-out even on a 1-core host. Shared fixture pools
-  // avoid rebuilding threads for each of the 360 statements.
+  // test table is only two chunks (5000 rows); the explicit 4- and
+  // 16-thread pools fan out even on a 1-core host, and pool size 1 (no
+  // pool) is the serial lane. Shared fixture pools avoid rebuilding
+  // threads for each of the 360 statements.
   void ExpectParallelByteIdentical(const PlanPtr& plan,
                                    const std::string& sql) {
-    ParallelConfig serial;
-    serial.max_threads = 1;
+    const ParallelConfig serial;  // no pool
     db_.set_parallel_config(serial);
     auto base = ExecutePlan(plan, db_);
     struct Variant {
@@ -68,7 +67,6 @@ class StatsDbPropertyTest : public ::testing::Test {
     const Variant variants[] = {{1, nullptr}, {4, &pool4_}, {16, &pool16_}};
     for (const Variant& v : variants) {
       ParallelConfig cfg;
-      cfg.max_threads = v.threads;
       cfg.min_chunks = 2;
       cfg.pool = v.pool;
       db_.set_parallel_config(cfg);
@@ -169,7 +167,6 @@ TEST_F(StatsDbPropertyTest, CacheOnMatchesCacheOffAcrossWritesAndPools) {
     const Variant variants[] = {{1, nullptr}, {4, &pool4_}, {16, &pool16_}};
     for (const Variant& v : variants) {
       ParallelConfig cfg;
-      cfg.max_threads = v.threads;
       cfg.min_chunks = 2;
       cfg.pool = v.pool;
       db_.set_parallel_config(cfg);

@@ -28,7 +28,6 @@
 #include "net/server.h"
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
 #include "util/status.h"
 
 #include "sqlgen.h"
@@ -63,12 +62,10 @@ class WireEquivalence {
 
     statsdb::property::BuildPropertyTables(&ref_);
     // The reference is the plainest path there is: serial vectorized
-    // engine, no cache. Whatever the server layers on top must not
-    // change a byte.
+    // engine (a Database has no pool by default), no cache. Whatever
+    // the server layers on top must not change a byte.
     ref_.set_cache_config(CacheConfig{});
-    ParallelConfig serial;
-    serial.max_threads = 1;
-    ref_.set_parallel_config(serial);
+    ASSERT_EQ(ref_.parallel_config().pool, nullptr);
 
     if (chaos_) {
       // Delays + partial I/O only; small stalls so 360 statements stay

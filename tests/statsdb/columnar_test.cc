@@ -18,7 +18,6 @@
 #include "statsdb/batch.h"
 #include "statsdb/column_store.h"
 #include "statsdb/database.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/plan.h"
 #include "statsdb/planner.h"
 #include "statsdb/table.h"
@@ -71,13 +70,13 @@ class ColumnarTest : public ::testing::Test {
   void ExpectSameOutcome(const PlanPtr& plan) {
     auto ref = ExecuteRowOracle(*plan, db_);
     ParallelConfig par;
-    par.max_threads = 4;
     par.min_chunks = 2;
     par.pool = &pool_;
+    const PlanPtr optimized = OptimizePlan(plan, db_);
     const char* names[] = {"columnar", "optimized", "parallel"};
     util::StatusOr<ResultSet> runs[] = {
         ExecuteColumnar(*plan, db_), ExecutePlan(plan, db_),
-        ExecuteParallel(OptimizePlan(plan, db_), db_, par)};
+        ExecuteColumnar(*optimized, db_, nullptr, &par)};
     for (size_t i = 0; i < 3; ++i) {
       SCOPED_TRACE(names[i]);
       const auto& got = runs[i];

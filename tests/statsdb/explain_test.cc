@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "obs/runtime_stats.h"
+#include "parallel/thread_pool.h"
 #include "statsdb/cache.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
-#include "statsdb/parallel_exec.h"
 #include "statsdb/planner.h"
 #include "statsdb/sql.h"
 #include "statsdb/table.h"
@@ -49,10 +49,9 @@ class ExplainTest : public ::testing::Test {
       }
     }
     ASSERT_TRUE(app.Finish().ok());
-    // Deterministic engine choice per test: serial unless opted in.
-    ParallelConfig cfg;
-    cfg.max_threads = 1;
-    db_.set_parallel_config(cfg);
+    // Deterministic engine choice per test: serial (no pool) unless
+    // opted in.
+    ASSERT_EQ(db_.parallel_config().pool, nullptr);
     // Likewise pin the cache off (FF_STATSDB_CACHE may say otherwise in
     // CI smoke lanes); cache-specific tests opt in explicitly.
     db_.set_cache_config(CacheConfig{});
@@ -66,7 +65,7 @@ class ExplainTest : public ::testing::Test {
 
   void UseParallel() {
     ParallelConfig cfg;
-    cfg.max_threads = 4;
+    cfg.pool = &pool_;
     cfg.min_chunks = 2;
     db_.set_parallel_config(cfg);
   }
@@ -83,6 +82,7 @@ class ExplainTest : public ::testing::Test {
     return lines;
   }
 
+  parallel::ThreadPool pool_{4};  // outlives db_, whose config names it
   Database db_;
 };
 
@@ -187,8 +187,9 @@ TEST_F(ExplainTest, ProfiledExecutionIsByteIdenticalToPlain) {
     EXPECT_EQ(profile.engine, parallel ? "parallel" : "serial");
     // The cache-free engine entry point fills the same profile.
     obs::QueryProfile direct;
-    auto engine = ExecuteParallel(OptimizePlan(*plan, db_), db_,
-                                  db_.parallel_config(), &direct);
+    PlanPtr optimized = OptimizePlan(*plan, db_);
+    auto engine =
+        ExecuteColumnar(*optimized, db_, &direct, &db_.parallel_config());
     ASSERT_TRUE(engine.ok()) << engine.status();
     EXPECT_EQ(engine->ToCsv(), plain.ToCsv());
     ASSERT_NE(direct.root, nullptr);
