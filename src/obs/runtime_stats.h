@@ -110,7 +110,7 @@ class RuntimeHistogram {
 struct alignas(64) WorkerRuntimeStats {
   std::atomic<uint64_t> tasks_run{0};    // tasks executed (always on)
   std::atomic<uint64_t> run_ns{0};       // time inside task bodies
-  std::atomic<uint64_t> idle_ns{0};      // time parked on the work signal
+  std::atomic<uint64_t> idle_ns{0};      // ended parks on the work signal
   std::atomic<uint64_t> parks{0};        // times the worker went to sleep
   std::atomic<uint64_t> steals{0};       // successful StealTop (always on)
   std::atomic<uint64_t> steal_fails{0};  // empty/lost StealTop attempts

@@ -111,6 +111,7 @@ ThreadPool::ThreadPool(Options options) : options_(options) {
   FF_CHECK(options_.max_queue > 0) << "thread pool needs a non-empty queue";
   deques_.reserve(n);
   worker_stats_.reserve(n);
+  park_start_ns_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
     worker_stats_.push_back(std::make_unique<obs::WorkerRuntimeStats>());
@@ -279,21 +280,33 @@ uint64_t ThreadPool::steals() const {
 obs::PoolRuntimeProfile ThreadPool::RuntimeProfile() const {
   obs::PoolRuntimeProfile p;
   p.num_threads = threads_.size();
-  if constexpr (obs::kProfilingCompiledIn) {
-    p.lifetime_ns = static_cast<uint64_t>(obs::RuntimeNowNs() - start_ns_);
-  }
+  p.workers.resize(worker_stats_.size());
   {
+    // Parks start and end under mu_, so one clock reading taken here
+    // ends the window for the lifetime and for every ongoing park.
     std::lock_guard<std::mutex> lock(mu_);
     p.global_queue_depth = global_.size();
     p.global_queue_peak = global_peak_;
+    if constexpr (obs::kProfilingCompiledIn) {
+      const int64_t now = obs::RuntimeNowNs();
+      p.lifetime_ns = static_cast<uint64_t>(now - start_ns_);
+      for (size_t i = 0; i < worker_stats_.size(); ++i) {
+        // A park's whole duration is credited when it ends; until then
+        // its running part counts here, so a Since() window opened
+        // mid-park holds only the idle time inside the window.
+        p.workers[i].idle_ns =
+            worker_stats_[i]->idle_ns.load(std::memory_order_relaxed) +
+            (park_start_ns_[i] == 0
+                 ? 0
+                 : static_cast<uint64_t>(now - park_start_ns_[i]));
+      }
+    }
   }
-  p.workers.resize(worker_stats_.size());
   for (size_t i = 0; i < worker_stats_.size(); ++i) {
     const obs::WorkerRuntimeStats& ws = *worker_stats_[i];
     obs::WorkerRuntimeSnapshot& out = p.workers[i];
     out.tasks_run = ws.tasks_run.load(std::memory_order_relaxed);
     out.run_ns = ws.run_ns.load(std::memory_order_relaxed);
-    out.idle_ns = ws.idle_ns.load(std::memory_order_relaxed);
     out.parks = ws.parks.load(std::memory_order_relaxed);
     out.steals = ws.steals.load(std::memory_order_relaxed);
     out.steal_fails = ws.steal_fails.load(std::memory_order_relaxed);
@@ -302,6 +315,23 @@ obs::PoolRuntimeProfile ThreadPool::RuntimeProfile() const {
     out.task_ns = ws.task_ns.Snap();
   }
   return p;
+}
+
+template <typename Wake>
+void ThreadPool::Park(std::unique_lock<std::mutex>& lock, size_t index,
+                      Wake wake) {
+  if constexpr (obs::kProfilingCompiledIn) {
+    auto& ws = *worker_stats_[index];
+    ws.parks.fetch_add(1, std::memory_order_relaxed);
+    park_start_ns_[index] = obs::RuntimeNowNs();
+    work_cv_.wait(lock, wake);
+    ws.idle_ns.fetch_add(
+        static_cast<uint64_t>(obs::RuntimeNowNs() - park_start_ns_[index]),
+        std::memory_order_relaxed);
+    park_start_ns_[index] = 0;
+  } else {
+    work_cv_.wait(lock, wake);
+  }
 }
 
 void ThreadPool::WorkerLoop(size_t index) {
@@ -326,16 +356,7 @@ void ThreadPool::WorkerLoop(size_t index) {
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
-    if constexpr (obs::kProfilingCompiledIn) {
-      auto& ws = *worker_stats_[index];
-      ws.parks.fetch_add(1, std::memory_order_relaxed);
-      const int64_t t0 = obs::RuntimeNowNs();
-      work_cv_.wait(lock, [&] { return stop_ || work_signal_ != sig; });
-      ws.idle_ns.fetch_add(static_cast<uint64_t>(obs::RuntimeNowNs() - t0),
-                           std::memory_order_relaxed);
-    } else {
-      work_cv_.wait(lock, [&] { return stop_ || work_signal_ != sig; });
-    }
+    Park(lock, index, [&] { return stop_ || work_signal_ != sig; });
     if (stop_) return;
   }
 }
@@ -409,22 +430,10 @@ void TaskGroup::Wait() {
     }
     std::unique_lock<std::mutex> lock(pool_->mu_);
     ++pool_->isolated_parked_;
-    if constexpr (obs::kProfilingCompiledIn) {
-      // A helping worker parked here is idle from the pool's point of
-      // view, same as a WorkerLoop park.
-      auto& ws = *pool_->worker_stats_[idx];
-      ws.parks.fetch_add(1, std::memory_order_relaxed);
-      const int64_t t0 = obs::RuntimeNowNs();
-      pool_->work_cv_.wait(lock, [&] {
-        return pool_->work_signal_ != sig || done();
-      });
-      ws.idle_ns.fetch_add(static_cast<uint64_t>(obs::RuntimeNowNs() - t0),
-                           std::memory_order_relaxed);
-    } else {
-      pool_->work_cv_.wait(lock, [&] {
-        return pool_->work_signal_ != sig || done();
-      });
-    }
+    // A helping worker parked here is idle from the pool's point of
+    // view, same as a WorkerLoop park.
+    pool_->Park(lock, idx,
+                [&] { return pool_->work_signal_ != sig || done(); });
     --pool_->isolated_parked_;
   }
 }

@@ -160,6 +160,11 @@ class ThreadPool {
   friend class TaskGroup;
 
   void WorkerLoop(size_t index);
+  /// Parks worker `index` on work_cv_ until `wake()` holds; `lock` holds
+  /// mu_. Counts the park and, with profiling compiled in, its idle time
+  /// (park_start_ns_ marks an ongoing park for RuntimeProfile()).
+  template <typename Wake>
+  void Park(std::unique_lock<std::mutex>& lock, size_t index, Wake wake);
   /// One scan for work: own deque, global queue (unless `isolated`),
   /// then every other deque.
   std::function<void()>* FindWork(size_t index, bool isolated = false);
@@ -177,6 +182,9 @@ class ThreadPool {
   // ownership) so workers never false-share counters.
   std::vector<std::unique_ptr<obs::WorkerRuntimeStats>> worker_stats_;
   int64_t start_ns_ = 0;  // RuntimeNowNs() at construction (0 when off)
+  // Per worker: RuntimeNowNs() when its ongoing park began, 0 when it is
+  // not parked (under mu_).
+  std::vector<int64_t> park_start_ns_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;      // workers park here

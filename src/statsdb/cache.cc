@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <limits>
+#include <functional>
 #include <mutex>
 
 #include "statsdb/database.h"
@@ -89,8 +89,11 @@ bool FpPlan(const PlanNode& plan, DualFingerprint* fp,
       const auto& n = static_cast<const ScanNode&>(plan);
       tables->push_back(n.table);
       fp->Str(n.table);
-      fp->Str(n.index_column);
-      FpValue(n.index_value, fp);
+      fp->U64(n.index_keys.size());
+      for (const auto& k : n.index_keys) {
+        fp->Str(k.column);
+        if (!FpExpr(*k.key, fp)) return false;
+      }
       return FpOptionalExpr(n.predicate, fp);
     }
     case PlanKind::kFilter: {
@@ -231,6 +234,39 @@ size_t EstimateResultBytes(const ResultSet& rs) {
   return bytes;
 }
 
+template <typename Map>
+void QueryCache::LruHeap::Push(const Map& map, uint64_t fp, uint64_t used) {
+  heap_.emplace_back(used, fp);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  if (heap_.size() > 2 * map.size()) Rebuild(map);
+}
+
+template <typename Map>
+typename Map::iterator QueryCache::LruHeap::Oldest(Map* map) {
+  for (;;) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [stamp, fp] = heap_.back();
+    heap_.pop_back();
+    auto it = map->find(fp);
+    if (it == map->end()) continue;  // evicted through another item
+    const uint64_t used =
+        it->second.last_used.load(std::memory_order_relaxed);
+    if (used == stamp) return it;
+    // Touched (or replaced in place) since the item went in.
+    heap_.emplace_back(used, fp);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+}
+
+template <typename Map>
+void QueryCache::LruHeap::Rebuild(const Map& map) {
+  heap_.clear();
+  for (const auto& [fp, entry] : map) {
+    heap_.emplace_back(entry.last_used.load(std::memory_order_relaxed), fp);
+  }
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+}
+
 QueryCache::QueryCache(CacheConfig config) : config_(std::move(config)) {}
 
 CacheConfig QueryCache::config() const {
@@ -249,6 +285,8 @@ void QueryCache::Clear() {
   std::unique_lock lock(mu_);
   plans_.clear();
   results_.clear();
+  plan_lru_.Clear();
+  result_lru_.Clear();
   result_bytes_total_ = 0;
 }
 
@@ -297,8 +335,10 @@ void QueryCache::PutPlan(const Key& key, const Database& db,
   std::unique_lock lock(mu_);
   if (config_.plan_entries == 0) return;
   plans_.erase(key.fp);
+  const uint64_t used = Touch();
   plans_.try_emplace(key.fp, key.check, db.catalog_epoch(),
-                     std::move(ddl_epochs), optimized, Touch());
+                     std::move(ddl_epochs), optimized, used);
+  plan_lru_.Push(plans_, key.fp, used);
   EvictPlansLocked();
 }
 
@@ -356,9 +396,11 @@ void QueryCache::PutResult(const ResultKey& key, const ResultSet& result) {
     result_bytes_total_ -= it->second.bytes;
     results_.erase(it);
   }
+  const uint64_t used = Touch();
   results_.try_emplace(key.key.fp, key.key.check, key.epochs,
                        std::make_shared<const ResultSet>(result), bytes,
-                       Touch());
+                       used);
+  result_lru_.Push(results_, key.key.fp, used);
   result_bytes_total_ += bytes;
   EvictResultsLocked();
 }
@@ -369,16 +411,7 @@ void QueryCache::RecordResultBypass() {
 
 void QueryCache::EvictPlansLocked() {
   while (!plans_.empty() && plans_.size() > config_.plan_entries) {
-    auto victim = plans_.begin();
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-      uint64_t used = it->second.last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
-        victim = it;
-      }
-    }
-    plans_.erase(victim);
+    plans_.erase(plan_lru_.Oldest(&plans_));
     plan_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -386,15 +419,7 @@ void QueryCache::EvictPlansLocked() {
 void QueryCache::EvictResultsLocked() {
   while (!results_.empty() && (results_.size() > config_.result_entries ||
                                result_bytes_total_ > config_.result_bytes)) {
-    auto victim = results_.begin();
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto it = results_.begin(); it != results_.end(); ++it) {
-      uint64_t used = it->second.last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
-        victim = it;
-      }
-    }
+    auto victim = result_lru_.Oldest(&results_);
     result_bytes_total_ -= victim->second.bytes;
     results_.erase(victim);
     result_evictions_.fetch_add(1, std::memory_order_relaxed);

@@ -32,9 +32,17 @@
 // byte-identical behaviour, and errors are cheap). Plans containing
 // unbound parameters are uncacheable in the result tier and bypass it.
 //
+// Eviction is exact LRU in both tiers: the victim is the entry with the
+// oldest recency stamp. A store finds it through a lazily refreshed
+// min-heap of stamps (QueryCache::LruHeap): O(log entries) per store
+// and per hit since the victim's item went in, amortized, instead of a
+// scan over every entry (1,024 result entries by default) under the
+// exclusive lock that every hit waits behind.
+//
 // Concurrency: lookups take a shared lock and touch per-entry
 // recency stamps with relaxed atomics, so concurrent readers never
-// serialize on the cache; stores/evictions take the exclusive side.
+// serialize on the cache (a hit never touches the heap);
+// stores/evictions take the exclusive side.
 // Counters are relaxed atomics. The cache itself is TSan-clean for
 // any mix of concurrent Get/Put/Stats (tests/statsdb/cache_test.cc
 // hammers it under the CI TSan job); whether a whole Database may be
@@ -215,6 +223,32 @@ class QueryCache {
     std::atomic<uint64_t> last_used;
   };
 
+  /// Exact-LRU victim finder for one tier: a min-heap of
+  /// (last_used, fp) items, refreshed lazily. Every entry of the tier
+  /// keeps an item no newer than its stamp; a popped item whose stamp is
+  /// stale goes back with the entry's current one, and an item whose
+  /// entry is gone is dropped. Stamps are unique and an entry's stamp
+  /// only grows, so the first current item popped is the entry a scan
+  /// for the smallest stamp would find.
+  /// The heap is rebuilt from the map when it holds more than twice the
+  /// map's entries. Used under the exclusive lock only.
+  class LruHeap {
+   public:
+    /// Records `fp`, just stored in `map` with stamp `used`.
+    template <typename Map>
+    void Push(const Map& map, uint64_t fp, uint64_t used);
+    /// The entry of non-empty `map` with the smallest last_used.
+    template <typename Map>
+    typename Map::iterator Oldest(Map* map);
+    void Clear() { heap_.clear(); }
+
+   private:
+    template <typename Map>
+    void Rebuild(const Map& map);
+
+    std::vector<std::pair<uint64_t, uint64_t>> heap_;  // (stamp, fp)
+  };
+
   uint64_t Touch() { return use_clock_.fetch_add(1, std::memory_order_relaxed) + 1; }
   /// Evicts least-recently-used entries until both budgets hold.
   /// Callers hold the exclusive lock.
@@ -225,6 +259,8 @@ class QueryCache {
   CacheConfig config_;
   std::unordered_map<uint64_t, PlanEntry> plans_;
   std::unordered_map<uint64_t, ResultEntry> results_;
+  LruHeap plan_lru_;
+  LruHeap result_lru_;
   size_t result_bytes_total_ = 0;
   std::atomic<uint64_t> use_clock_{0};
 

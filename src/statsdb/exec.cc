@@ -686,19 +686,24 @@ util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
       if (!idx.ok()) continue;
       // Pruning compares the literal against zone min/max; only sound
       // when that comparison cannot itself be a runtime type error.
-      DataType ct = s.table->schema().column(*idx).type;
       DataType lt = sp->literal.type();
-      bool comparable =
-          lt == DataType::kNull || ct == lt ||
-          ((ct == DataType::kInt64 || ct == DataType::kDouble) &&
-           (lt == DataType::kInt64 || lt == DataType::kDouble));
-      if (comparable) s.zone_preds.emplace_back(*idx, *sp);
+      if (lt == DataType::kNull ||
+          TypesComparable(s.table->schema().column(*idx).type, lt)) {
+        s.zone_preds.emplace_back(*idx, *sp);
+      }
     }
   }
-  if (!node.index_column.empty()) {
-    FF_ASSIGN_OR_RETURN(s.index_rows,
-                        s.table->Lookup(node.index_column, node.index_value));
+  // Index keys resolve here, so a `?` key reads its bound value.
+  for (const IndexKey& k : node.index_keys) {
+    const Value* key = k.key->literal();  // null: unbound placeholder
+    auto idx = s.table->schema().IndexOf(k.column);
+    if (key == nullptr || !idx.ok() ||
+        !IndexKeyUsable(s.table->schema().column(*idx).type, *key)) {
+      continue;
+    }
+    FF_ASSIGN_OR_RETURN(s.index_rows, s.table->Lookup(k.column, *key));
     s.use_index = true;
+    break;
   }
   return s;
 }

@@ -194,6 +194,17 @@ Schema JoinOutputSchema(const Schema& l, const Schema& r) {
   return Schema(std::move(cols));
 }
 
+bool TypesComparable(DataType a, DataType b) {
+  auto numeric = [](DataType t) {
+    return t == DataType::kInt64 || t == DataType::kDouble;
+  };
+  return a == b || (numeric(a) && numeric(b));
+}
+
+bool IndexKeyUsable(DataType column_type, const Value& key) {
+  return !key.is_null() && TypesComparable(column_type, key.type());
+}
+
 // ------------------------------------------------------------ the nodes
 
 std::string ScanNode::ToString() const {
@@ -214,7 +225,11 @@ std::string ScanNode::ToString() const {
     }
     if (!prunable.empty()) out += ", prune=[" + util::Join(prunable, ", ") + "]";
   }
-  if (!index_column.empty()) out += ", index=" + index_column;
+  if (!index_keys.empty()) {
+    std::vector<std::string> columns;
+    for (const auto& k : index_keys) columns.push_back(k.column);
+    out += ", index=" + util::Join(columns, "|");
+  }
   return out + ")";
 }
 

@@ -15,28 +15,41 @@
 namespace ff {
 namespace statsdb {
 
+/// One hash-index access path of a scan: `column = key`, where `key` is
+/// a literal or a `?` placeholder of a prepared statement.
+struct IndexKey {
+  std::string column;
+  ExprPtr key;  // Expr::Kind::kLiteral or kParam
+};
+
 /// Table scan. The planner may attach a pushed-down predicate (a
-/// conjunction evaluated with WHERE semantics), and may annotate one
-/// equality conjunct as servable by a hash index. Pushed conjuncts of the
-/// shape `column op literal` also drive zone-map chunk pruning in the
-/// vectorized executor; the annotations are reflected in ToString().
+/// conjunction evaluated with WHERE semantics), and may annotate
+/// equality conjuncts as servable by a hash index. Pushed conjuncts of
+/// the shape `column op literal` (a bound `?` counts as a literal) also
+/// drive zone-map chunk pruning in the vectorized executor; the
+/// annotations are reflected in ToString().
+///
+/// An index key may be a `?`: its value is read when the scan is
+/// prepared, after binding, so a prepared statement takes the access
+/// path its literal form takes. The scan uses the first key whose value
+/// passes IndexKeyUsable and runs as a full scan when none does. The
+/// planner lists keys in conjunct order and stops at the first usable
+/// literal, the one key the literal form would have picked.
 class ScanNode : public PlanNode {
  public:
   explicit ScanNode(std::string table_in) : table(std::move(table_in)) {}
   ScanNode(std::string table_in, ExprPtr predicate_in,
-           std::string index_column_in, Value index_value_in)
+           std::vector<IndexKey> index_keys_in)
       : table(std::move(table_in)),
         predicate(std::move(predicate_in)),
-        index_column(std::move(index_column_in)),
-        index_value(std::move(index_value_in)) {}
+        index_keys(std::move(index_keys_in)) {}
 
   std::string ToString() const override;
   PlanKind kind() const override { return PlanKind::kScan; }
 
   std::string table;
-  ExprPtr predicate;         // null => unfiltered scan
-  std::string index_column;  // empty => no index lookup
-  Value index_value;
+  ExprPtr predicate;                 // null => unfiltered scan
+  std::vector<IndexKey> index_keys;  // empty => no index lookup
 };
 
 class FilterNode : public PlanNode {
@@ -203,6 +216,17 @@ struct RowEq {
     return true;
   }
 };
+
+/// True when values of types `a` and `b` compare without a type error:
+/// equal types, or both numeric.
+bool TypesComparable(DataType a, DataType b);
+
+/// True when `key` may serve `column = key` from a hash index on a
+/// column of type `column_type`: the index path evaluates the conjunct
+/// only over the looked-up rows, so a NULL key or one whose comparison
+/// errors on every row must take the full scan. One check for literal
+/// keys (at plan time) and bound `?` keys (when the scan is prepared).
+bool IndexKeyUsable(DataType column_type, const Value& key);
 
 /// Output schema of `plan` without executing it (resolves tables through
 /// `db`). Errors mirror what execution would report for schema problems.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,11 +22,23 @@ PlanPtr WrapFilter(const std::vector<ExprPtr>& pending, PlanPtr node) {
   return p == nullptr ? node : MakeFilter(std::move(node), p);
 }
 
-bool TypesComparable(DataType a, DataType b) {
-  auto numeric = [](DataType t) {
-    return t == DataType::kInt64 || t == DataType::kDouble;
+/// `column = key` on either side, `key` a literal or a `?` placeholder.
+std::optional<IndexKey> MatchIndexKey(const Expr& e) {
+  if (e.kind() != Expr::Kind::kBinary || e.binary_op() != BinaryOp::kEq) {
+    return std::nullopt;
+  }
+  auto is_key = [](const ExprPtr& x) {
+    return x->kind() == Expr::Kind::kLiteral ||
+           x->kind() == Expr::Kind::kParam;
   };
-  return a == b || (numeric(a) && numeric(b));
+  ExprPtr a = e.child(0), b = e.child(1);
+  if (a->kind() == Expr::Kind::kColumn && is_key(b)) {
+    return IndexKey{*a->column(), b};
+  }
+  if (is_key(a) && b->kind() == Expr::Kind::kColumn) {
+    return IndexKey{*b->column(), a};
+  }
+  return std::nullopt;
 }
 
 /// Sets `limit_hint` on the Sort feeding a Limit, descending through
@@ -216,34 +229,32 @@ PlanPtr Push(const PlanPtr& node, std::vector<ExprPtr> pending,
       conjuncts.insert(conjuncts.end(), pending.begin(), pending.end());
       if (conjuncts.empty()) return node;
 
-      std::string index_column = n.index_column;
-      Value index_value = n.index_value;
+      std::vector<IndexKey> index_keys = n.index_keys;
       auto table = db.table(n.table);
-      if (index_column.empty() && table.ok()) {
+      if (index_keys.empty() && table.ok()) {
+        const Schema& schema = (*table)->schema();
         for (const auto& c : conjuncts) {
-          auto sp = MatchSimplePredicate(*c);
-          if (!sp.has_value() || sp->op != BinaryOp::kEq ||
-              sp->literal.is_null()) {
+          auto k = MatchIndexKey(*c);
+          if (!k.has_value() || !(*table)->HasIndex(k->column)) continue;
+          auto idx = schema.IndexOf(k->column);
+          if (!idx.ok()) continue;
+          // A `?` is checked when the scan is prepared, after binding; a
+          // later key serves if its bound value fails the check.
+          if (k->key->kind() == Expr::Kind::kParam) {
+            index_keys.push_back(std::move(*k));
             continue;
           }
-          if (!(*table)->HasIndex(sp->column)) continue;
           // The residual check re-evaluates the conjunct, but only over
-          // looked-up rows — an incomparable literal must error on every
-          // row, so such predicates cannot take the index path.
-          auto idx = (*table)->schema().IndexOf(sp->column);
-          if (!idx.ok() ||
-              !TypesComparable((*table)->schema().column(*idx).type,
-                               sp->literal.type())) {
+          // looked-up rows — an unusable literal must take the full scan.
+          if (!IndexKeyUsable(schema.column(*idx).type, *k->key->literal())) {
             continue;
           }
-          index_column = sp->column;
-          index_value = sp->literal;
+          index_keys.push_back(std::move(*k));
           break;
         }
       }
       return std::make_shared<ScanNode>(n.table, AndFold(conjuncts),
-                                        std::move(index_column),
-                                        std::move(index_value));
+                                        std::move(index_keys));
     }
   }
   return node;

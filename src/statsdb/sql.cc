@@ -1126,7 +1126,7 @@ util::StatusOr<PreparedStatement> PrepareSql(Database* db,
 }
 
 util::StatusOr<ResultSet> PreparedStatement::Execute(
-    const std::vector<Value>& params) const {
+    const std::vector<Value>& params, obs::QueryProfile* profile) const {
   if (db_ == nullptr || plan_ == nullptr) {
     return util::Status::InvalidArgument("statement was not prepared");
   }
@@ -1141,7 +1141,7 @@ util::StatusOr<ResultSet> PreparedStatement::Execute(
     slots_[i]->value = params[i];
     slots_[i]->bound = true;
   }
-  return ExecuteOptimized(plan_, *db_);
+  return ExecuteOptimized(plan_, *db_, profile);
 }
 
 util::StatusOr<PlanPtr> PlanSql(const std::string& statement) {

@@ -34,6 +34,9 @@
 #include "statsdb/query.h"
 
 namespace ff {
+namespace obs {
+struct QueryProfile;
+}  // namespace obs
 namespace statsdb {
 
 class Database;
@@ -71,8 +74,13 @@ util::StatusOr<ResultSet> ExecuteWrite(Database* db,
 ///
 /// Placeholders may appear wherever a literal may inside a SELECT's
 /// expressions. A bound placeholder participates in zone-map pruning
-/// and simple-predicate matching like a literal, but never in plan-time
-/// index selection (the value is unknown when the plan is built).
+/// and simple-predicate matching like a literal. A statement takes the
+/// same access path as its literal form: the planner marks `col = ?` on
+/// an indexed column for the hash index, and the scan reads the bound
+/// key, falling back to a full scan when that key is NULL or not
+/// comparable with the column, as the literal form does (plan.h).
+/// So a binding returns the literal statement's rows or error text,
+/// byte for byte.
 ///
 /// Copies share binding slots with the original — don't Execute two
 /// copies concurrently. Obtain via Database::Prepare.
@@ -84,9 +92,12 @@ class PreparedStatement {
   size_t num_params() const { return slots_.size(); }
   const std::string& sql() const { return sql_; }
 
-  /// Binds `params` (one Value per placeholder, in order) and executes.
+  /// Binds `params` (one Value per placeholder, in order) and executes
+  /// through ExecuteOptimized, which fills a non-null `profile`.
   /// InvalidArgument when the count does not match.
-  util::StatusOr<ResultSet> Execute(const std::vector<Value>& params) const;
+  util::StatusOr<ResultSet> Execute(
+      const std::vector<Value>& params,
+      obs::QueryProfile* profile = nullptr) const;
 
  private:
   friend util::StatusOr<PreparedStatement> PrepareSql(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -181,6 +182,23 @@ TEST(PoolRuntimeProfileTest, SinceWindowsTheCounters) {
   EXPECT_EQ(window.TotalTasks(), 30u);
   if constexpr (kProfilingCompiledIn) {
     EXPECT_EQ(window.MergedTaskNs().count, 30u);
+  }
+}
+
+// A park is credited to idle_ns when it ends, and RuntimeProfile()
+// adds the running part of an ongoing one, so a window opened while the
+// workers are parked counts only the idle time inside the window.
+TEST(PoolRuntimeProfileTest, WindowOpenedMidParkCountsOnlyItsOwnIdle) {
+  parallel::ThreadPool pool(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  PoolRuntimeProfile before = pool.RuntimeProfile();
+  pool.Submit([] {});
+  pool.Wait();
+  PoolRuntimeProfile window = pool.RuntimeProfile().Since(before);
+  EXPECT_EQ(window.TotalTasks(), 1u);
+  if constexpr (kProfilingCompiledIn) {
+    EXPECT_LE(window.TotalIdleNs(), window.lifetime_ns * window.num_threads)
+        << "lifetime_ns=" << window.lifetime_ns;
   }
 }
 

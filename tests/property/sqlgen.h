@@ -115,7 +115,10 @@ inline void BuildRunsTable(Database* db, const std::string& name,
 /// never divides in predicates: the zone-map/index fast paths
 /// legitimately skip evaluating rows a full scan would visit, so a
 /// predicate that errors on skipped rows is a documented divergence,
-/// not a bug these tests should trip over.
+/// not a bug these tests should trip over. The divergence is between
+/// access paths only (an index or pruned scan against the row oracle's
+/// full one), never between a literal statement and its prepared form:
+/// a `?` bound to the literal takes the same access path.
 struct SqlGen {
   util::Rng rng;
   explicit SqlGen(uint64_t seed) : rng(seed) {}

@@ -11,12 +11,16 @@
 // The generator only compares columns against literals of a comparable
 // type and never divides in predicates: the zone-map/index fast paths
 // legitimately skip evaluating rows a full scan would visit, so a
-// predicate that errors on skipped rows is a documented divergence, not
-// a bug this test should trip over.
+// predicate that errors on skipped rows is a documented divergence
+// between access paths, not a bug this test should trip over. A
+// prepared statement takes its literal form's access path, so the
+// prepared lane holds the two to byte identity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -223,6 +227,110 @@ TEST_F(StatsDbPropertyTest, CacheOnMatchesCacheOffAcrossWritesAndPools) {
   EXPECT_GT(s.result_hits, 0u) << "lane never exercised a warm hit";
   EXPECT_GT(s.result_invalidations, 0u)
       << "lane never caught an epoch invalidation";
+}
+
+// Prepared lane: every statement of the two engine streams with its
+// first `forecast|node = '<lit>'` or `day = <int>` conjunct — or, when
+// it has none, its first other `column op literal` comparison —
+// rewritten to `?`, prepared once and bound to that literal, must return
+// the literal statement's CSV or error text byte for byte, at pool sizes
+// 1/4/16, with the cache off and full (cold and warm). On the indexed
+// columns the rewritten equality is the conjunct the planner serves from
+// the hash index, so the lane pins that a prepared statement takes the
+// access path of its literal form; the other comparisons drive zone-map
+// pruning. The second stream runs after the DML of
+// EnginesAgreeAfterMutations, as there.
+TEST_F(StatsDbPropertyTest, PreparedMatchesLiteralAcrossPoolsAndCache) {
+  CacheConfig off;  // kOff
+  CacheConfig full;
+  full.mode = CacheConfig::Mode::kFull;
+  const std::regex equality(
+      "\\b(forecast|node) = ('[^']*')|\\b(day) = (-?[0-9]+)");
+  const std::regex comparison(
+      "\\b(forecast|node|day|walltime) (=|<>|<=|>=|<|>) "
+      "('[^']*'|-?[0-9]+(\\.[0-9]+)?)");
+
+  property::SqlGen gen(0x5eed);
+  property::SqlGen gen2(0xbadc0de);
+  int equalities = 0, comparisons = 0;
+  for (int q = 0; q < kQueries + 60; ++q) {
+    if (q == kQueries) {
+      db_.set_cache_config(off);
+      ASSERT_TRUE(
+          db_.Sql("UPDATE runs SET walltime = 12345.0 WHERE day = 100").ok());
+      ASSERT_TRUE(db_.Sql("DELETE FROM runs WHERE day > 350").ok());
+      ASSERT_TRUE(
+          db_.Sql("INSERT INTO runs VALUES ('till', 400, 'f9', 77.0)").ok());
+    }
+    bool ordered = false;
+    const std::string sql =
+        q < kQueries ? gen.Next(&ordered) : gen2.Next(&ordered);
+    std::smatch m;
+    std::string column, op, literal_text;
+    if (std::regex_search(sql, m, equality)) {
+      const bool is_day = m[3].matched;
+      column = is_day ? "day" : m[1].str();
+      op = "=";
+      literal_text = is_day ? m[4].str() : m[2].str();
+      ++equalities;
+    } else if (std::regex_search(sql, m, comparison)) {
+      column = m[1].str();
+      op = m[2].str();
+      literal_text = m[3].str();
+      ++comparisons;
+    } else {
+      continue;
+    }
+    const Value param =
+        literal_text[0] == '\''
+            ? Value::String(literal_text.substr(1, literal_text.size() - 2))
+        : literal_text.find('.') != std::string::npos
+            ? Value::Double(std::stod(literal_text))
+            : Value::Int64(std::stoll(literal_text));
+    const std::string prepared_sql =
+        m.prefix().str() + column + " " + op + " ?" + m.suffix().str();
+    auto ps = db_.Prepare(prepared_sql);
+    ASSERT_TRUE(ps.ok()) << prepared_sql << "\n" << ps.status().ToString();
+    ASSERT_EQ(ps->num_params(), 1u) << prepared_sql;
+
+      struct Variant {
+      size_t threads;
+      parallel::ThreadPool* pool;
+    };
+    const Variant variants[] = {{1, nullptr}, {4, &pool4_}, {16, &pool16_}};
+    for (const Variant& v : variants) {
+      ParallelConfig cfg;
+      cfg.min_chunks = 2;
+      cfg.pool = v.pool;
+      db_.set_parallel_config(cfg);
+      db_.set_cache_config(off);
+      auto literal = db_.Sql(sql);
+      auto off_run = ps->Execute({param});
+      db_.set_cache_config(full);
+      auto cold = ps->Execute({param});
+      auto warm = ps->Execute({param});
+      for (const auto* run : {&off_run, &cold, &warm}) {
+        ASSERT_EQ(literal.ok(), run->ok())
+            << sql << "\nprepared: " << prepared_sql
+            << "\nthreads=" << v.threads
+            << "\nliteral:  " << literal.status().ToString()
+            << "\nprepared: " << run->status().ToString();
+        if (literal.ok()) {
+          ASSERT_EQ(literal->ToCsv(), (*run)->ToCsv())
+              << sql << "\nprepared: " << prepared_sql
+              << "\nthreads=" << v.threads;
+        } else {
+          ASSERT_EQ(literal.status().ToString(), run->status().ToString())
+              << sql << "\nprepared: " << prepared_sql
+              << "\nthreads=" << v.threads;
+        }
+      }
+    }
+  }
+  std::printf("prepared lane: %d equalities, %d other comparisons\n",
+              equalities, comparisons);
+  EXPECT_GT(equalities, 30);
+  EXPECT_GT(comparisons, 150);
 }
 
 }  // namespace

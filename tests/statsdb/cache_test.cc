@@ -7,6 +7,7 @@
 // The correctness contract under test: with caching on, every result
 // (rows, row order, error text) is byte-identical to cache-off.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -19,6 +20,7 @@
 #include "statsdb/database.h"
 #include "statsdb/sql.h"
 #include "statsdb/table.h"
+#include "util/rng.h"
 
 namespace ff {
 namespace statsdb {
@@ -396,6 +398,147 @@ TEST_F(CacheTest, PlaceholdersOutsidePrepareAreParseErrors) {
   ASSERT_FALSE(rs.ok());
   EXPECT_NE(rs.status().ToString().find("prepared"), std::string::npos);
   EXPECT_FALSE(db_.Prepare("INSERT INTO runs VALUES ('x', 1, ?)").ok());
+}
+
+// ------------------------------------------------------ exact LRU --
+//
+// Eviction picks the entry with the oldest recency stamp in both tiers.
+// These tests drive QueryCache directly with synthetic keys and compare
+// the surviving fingerprints against exact least-recently-used order.
+
+QueryCache::ResultKey SyntheticKey(uint64_t fp) {
+  QueryCache::ResultKey key;
+  key.cacheable = true;
+  key.key = QueryCache::Key{fp, ~fp};
+  key.epochs = {{"t", 1}};
+  return key;
+}
+
+/// Reference LRU: fingerprints, least recently used first.
+struct LruModel {
+  size_t cap;
+  std::vector<uint64_t> order;
+
+  bool Has(uint64_t fp) const {
+    return std::find(order.begin(), order.end(), fp) != order.end();
+  }
+  void Use(uint64_t fp) {
+    order.erase(std::remove(order.begin(), order.end(), fp), order.end());
+    order.push_back(fp);
+  }
+  void Put(uint64_t fp) {
+    Use(fp);
+    Shrink();
+  }
+  void Shrink() {
+    while (order.size() > cap) order.erase(order.begin());
+  }
+};
+
+TEST(CacheLruTest, ResultTierEvictsTheLeastRecentlyUsed) {
+  CacheConfig cfg = FullConfig();
+  cfg.result_entries = 4;
+  QueryCache cache(cfg);
+  ResultSet rs;
+  auto put = [&](uint64_t fp) { cache.PutResult(SyntheticKey(fp), rs); };
+  auto get = [&](uint64_t fp) {
+    return cache.GetResult(SyntheticKey(fp)) != nullptr;
+  };
+  for (uint64_t fp = 1; fp <= 4; ++fp) put(fp);
+  ASSERT_TRUE(get(1));
+  ASSERT_TRUE(get(3));  // recency, oldest first: 2 4 1 3
+  put(2);               // replaced in place:       4 1 3 2
+  put(5);               // evicts 4
+  put(6);               // evicts 1
+  QueryCacheStats s = cache.Stats();
+  EXPECT_EQ(s.result_entries, 4u);
+  EXPECT_EQ(s.result_evictions, 2u);
+  EXPECT_FALSE(get(1));
+  EXPECT_FALSE(get(4));
+  // Probing in this order leaves recency 2 3 5 6.
+  for (uint64_t fp : {2, 3, 5, 6}) EXPECT_TRUE(get(fp)) << fp;
+
+  cfg.result_entries = 2;
+  cache.set_config(cfg);  // a smaller cap evicts 2 and 3
+  EXPECT_EQ(cache.Stats().result_entries, 2u);
+  EXPECT_FALSE(get(2));
+  EXPECT_FALSE(get(3));
+  EXPECT_TRUE(get(5));
+  EXPECT_TRUE(get(6));
+
+  cache.Clear();
+  put(7);
+  put(8);
+  ASSERT_TRUE(get(7));
+  put(9);  // evicts 8
+  EXPECT_FALSE(get(8));
+  EXPECT_TRUE(get(7));
+  EXPECT_TRUE(get(9));
+  EXPECT_FALSE(get(5));
+}
+
+TEST(CacheLruTest, PlanTierEvictsTheLeastRecentlyUsed) {
+  Database db;
+  ASSERT_TRUE(db.Sql("CREATE TABLE t (a INT)").ok());
+  CacheConfig cfg = FullConfig();
+  cfg.plan_entries = 2;
+  QueryCache cache(cfg);
+  PlanPtr plan = MakeScan("t");
+  auto put = [&](uint64_t fp) {
+    cache.PutPlan(QueryCache::Key{fp, ~fp}, db, plan);
+  };
+  auto get = [&](uint64_t fp) {
+    return cache.GetPlan(QueryCache::Key{fp, ~fp}, db) != nullptr;
+  };
+  put(1);
+  put(2);
+  ASSERT_TRUE(get(1));
+  put(3);  // evicts 2
+  put(1);  // replaced in place: recency 3 1
+  put(4);  // evicts 3
+  EXPECT_EQ(cache.Stats().plan_evictions, 2u);
+  EXPECT_FALSE(get(2));
+  EXPECT_FALSE(get(3));
+  EXPECT_TRUE(get(1));
+  EXPECT_TRUE(get(4));
+}
+
+// A long random mix of stores (new and in place), hits, misses, cap
+// changes and clears: every lookup hits exactly when the reference LRU
+// still holds the fingerprint.
+TEST(CacheLruTest, RandomTrafficMatchesAReferenceLru) {
+  CacheConfig cfg = FullConfig();
+  cfg.result_entries = 8;
+  QueryCache cache(cfg);
+  LruModel model{8, {}};
+  ResultSet rs;
+  util::Rng rng(0x1e5);
+  for (int i = 0; i < 5000; ++i) {
+    const auto fp = static_cast<uint64_t>(rng.UniformInt(1, 24));
+    const int64_t op = rng.UniformInt(0, 99);
+    if (op < 45) {
+      const bool hit = cache.GetResult(SyntheticKey(fp)) != nullptr;
+      ASSERT_EQ(hit, model.Has(fp)) << "op " << i << " fp " << fp;
+      if (hit) {
+        model.Use(fp);
+      } else {
+        cache.PutResult(SyntheticKey(fp), rs);
+        model.Put(fp);
+      }
+    } else if (op < 95) {
+      cache.PutResult(SyntheticKey(fp), rs);
+      model.Put(fp);
+    } else if (op < 99) {
+      cfg.result_entries = static_cast<size_t>(rng.UniformInt(1, 12));
+      cache.set_config(cfg);
+      model.cap = cfg.result_entries;
+      model.Shrink();
+    } else {
+      cache.Clear();
+      model.order.clear();
+    }
+    ASSERT_EQ(cache.Stats().result_entries, model.order.size()) << i;
+  }
 }
 
 // ----------------------------------------------------------- FromEnv --

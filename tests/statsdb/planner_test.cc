@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 
+#include "obs/runtime_stats.h"
 #include "oracle/row_engine.h"
+#include "statsdb/cache.h"
 #include "statsdb/database.h"
 #include "statsdb/exec.h"
 #include "statsdb/plan.h"
+#include "statsdb/sql.h"
 #include "statsdb/table.h"
 
 namespace ff {
@@ -70,7 +75,8 @@ TEST_F(PlannerTest, IndexSelectedForEqualityOnIndexedColumn) {
       db_);
   ASSERT_EQ(plan->kind(), PlanKind::kScan);
   const auto& scan = static_cast<const ScanNode&>(*plan);
-  EXPECT_EQ(scan.index_column, "forecast");
+  ASSERT_EQ(scan.index_keys.size(), 1u);
+  EXPECT_EQ(scan.index_keys[0].column, "forecast");
   EXPECT_NE(plan->ToString().find("index=forecast"), std::string::npos);
   // The conjunct stays in the predicate as a residual check.
   EXPECT_NE(scan.predicate, nullptr);
@@ -80,10 +86,10 @@ TEST_F(PlannerTest, NoIndexForNonEqualityOrUnindexedColumn) {
   PlanPtr p1 = OptimizePlan(
       MakeFilter(MakeScan("runs"), Gt(Col("forecast"), LitString("a"))),
       db_);
-  EXPECT_TRUE(static_cast<const ScanNode&>(*p1).index_column.empty());
+  EXPECT_TRUE(static_cast<const ScanNode&>(*p1).index_keys.empty());
   PlanPtr p2 = OptimizePlan(
       MakeFilter(MakeScan("runs"), Eq(Col("node"), LitString("f1"))), db_);
-  EXPECT_TRUE(static_cast<const ScanNode&>(*p2).index_column.empty());
+  EXPECT_TRUE(static_cast<const ScanNode&>(*p2).index_keys.empty());
 }
 
 TEST_F(PlannerTest, NoIndexForIncomparableLiteral) {
@@ -95,7 +101,28 @@ TEST_F(PlannerTest, NoIndexForIncomparableLiteral) {
   ASSERT_EQ(plan->kind(), PlanKind::kFilter);
   const auto& f = static_cast<const FilterNode&>(*plan);
   ASSERT_EQ(f.input->kind(), PlanKind::kScan);
-  EXPECT_TRUE(static_cast<const ScanNode&>(*f.input).index_column.empty());
+  EXPECT_TRUE(static_cast<const ScanNode&>(*f.input).index_keys.empty());
+}
+
+TEST_F(PlannerTest, PlaceholderKeysPrecedeTheFirstUsableLiteral) {
+  // A `?` key is checked at bind time, so later keys stay listed as
+  // fallbacks up to the first usable literal.
+  ASSERT_TRUE((*db_.table("runs"))->CreateIndex("node").ok());
+  auto slot = std::make_shared<ParamSlot>();
+  PlanPtr plan = OptimizePlan(
+      MakeFilter(MakeScan("runs"),
+                 And(And(Eq(Param(0, slot), Col("forecast")),
+                         Eq(Col("node"), LitString("f1"))),
+                     Eq(Col("forecast"), LitString("till")))),
+      db_);
+  ASSERT_EQ(plan->kind(), PlanKind::kScan);
+  const auto& scan = static_cast<const ScanNode&>(*plan);
+  ASSERT_EQ(scan.index_keys.size(), 2u);
+  EXPECT_EQ(scan.index_keys[0].column, "forecast");
+  EXPECT_EQ(scan.index_keys[0].key->kind(), Expr::Kind::kParam);
+  EXPECT_EQ(scan.index_keys[1].column, "node");
+  EXPECT_NE(plan->ToString().find("index=forecast|node"), std::string::npos)
+      << plan->ToString();
 }
 
 TEST_F(PlannerTest, PushesThroughSortAndDistinct) {
@@ -148,8 +175,9 @@ TEST_F(PlannerTest, PushesGroupKeyPredicateBelowAggregate) {
   ASSERT_EQ(plan->kind(), PlanKind::kAggregate);
   const auto& a = static_cast<const AggregateNode&>(*plan);
   ASSERT_EQ(a.input->kind(), PlanKind::kScan);
-  EXPECT_EQ(static_cast<const ScanNode&>(*a.input).index_column,
-            "forecast");
+  const auto& scan = static_cast<const ScanNode&>(*a.input);
+  ASSERT_EQ(scan.index_keys.size(), 1u);
+  EXPECT_EQ(scan.index_keys[0].column, "forecast");
 }
 
 TEST_F(PlannerTest, KeepsAggregateOutputPredicateAbove) {
@@ -299,6 +327,103 @@ TEST_F(PlannerTest, OptimizedPlanStillExecutesOnReferenceEngine) {
   auto rs = ExecuteRowOracle(*plan, db_);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 1u);
+}
+
+// A prepared statement takes the access path of its literal form: the
+// planner marks `forecast = ?` for the hash index and the scan reads the
+// bound key. On this table the index path for 'a' never evaluates row
+// ('b', 5), where `10 / (day - 5)` divides by zero, so a prepared form
+// that scanned every row would fail where the literal succeeds.
+class PreparedIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Schema runs({{"forecast", DataType::kString}, {"day", DataType::kInt64}});
+    Table* t = *db_.CreateTable("runs", runs);
+    for (auto [forecast, day] :
+         {std::pair<const char*, int64_t>{"a", 1}, {"a", 2}, {"b", 5}}) {
+      ASSERT_TRUE(
+          t->Insert({Value::String(forecast), Value::Int64(day)}).ok());
+    }
+    ASSERT_TRUE(t->CreateIndex("forecast").ok());
+    db_.set_cache_config(CacheConfig{});  // run the engine every time
+  }
+
+  /// `sql` with its one `?` replaced by `literal`, run as plain SQL.
+  util::StatusOr<ResultSet> Literal(const std::string& sql,
+                                    const std::string& literal) {
+    std::string text = sql;
+    text.replace(text.find('?'), 1, literal);
+    return db_.Sql(text);
+  }
+
+  /// Requires the prepared `sql` bound to `param` to return the literal
+  /// form's CSV or error text, byte for byte.
+  void ExpectPreparedMatchesLiteral(const std::string& sql,
+                                    const std::string& literal,
+                                    const Value& param) {
+    auto lit = Literal(sql, literal);
+    auto ps = db_.Prepare(sql);
+    ASSERT_TRUE(ps.ok()) << ps.status();
+    auto prep = ps->Execute({param});
+    ASSERT_EQ(lit.ok(), prep.ok())
+        << sql << "\nliteral: " << lit.status().ToString()
+        << "\nprepared: " << prep.status().ToString();
+    if (lit.ok()) {
+      EXPECT_EQ(lit->ToCsv(), prep->ToCsv()) << sql;
+    } else {
+      EXPECT_EQ(lit.status().ToString(), prep.status().ToString()) << sql;
+    }
+  }
+
+  Database db_;
+};
+
+constexpr char kDivideSql[] =
+    "SELECT day FROM runs WHERE forecast = ? AND 10 / (day - 5) < 0";
+
+TEST_F(PreparedIndexTest, BoundKeySkipsTheRowsTheLiteralIndexSkips) {
+  auto lit = Literal(kDivideSql, "'a'");
+  ASSERT_TRUE(lit.ok()) << lit.status();
+  EXPECT_EQ(lit->ToCsv(), "day\n1\n2\n");
+  ExpectPreparedMatchesLiteral(kDivideSql, "'a'", Value::String("a"));
+}
+
+TEST_F(PreparedIndexTest, NullKeyScansEveryRowLikeTheLiteral) {
+  // `forecast = NULL` cannot use the index, so both forms scan ('b', 5).
+  ExpectPreparedMatchesLiteral(kDivideSql, "NULL", Value::Null());
+}
+
+TEST_F(PreparedIndexTest, IncomparableKeyFailsLikeTheLiteral) {
+  ExpectPreparedMatchesLiteral(kDivideSql, "3", Value::Int64(3));
+}
+
+TEST_F(PreparedIndexTest, NullKeyFallsBackToTheNextIndexKeyLikeTheLiteral) {
+  // The literal form skips `forecast = NULL` and looks up day = 1, so
+  // neither form may scan ('b', 5).
+  ASSERT_TRUE((*db_.table("runs"))->CreateIndex("day").ok());
+  ExpectPreparedMatchesLiteral(
+      "SELECT day FROM runs WHERE forecast = ? AND day = 1 AND "
+      "10 / (day - 5) < 0",
+      "NULL", Value::Null());
+}
+
+TEST_F(PreparedIndexTest, ProfiledExecutionReadsOnlyTheIndexRows) {
+  auto ps = db_.Prepare("SELECT day FROM runs WHERE forecast = ?");
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  obs::QueryProfile profile;
+  auto rs = ps->Execute({Value::String("a")}, &profile);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->ToCsv(), "day\n1\n2\n");
+  if constexpr (!obs::kProfilingCompiledIn) return;
+  ASSERT_NE(profile.root, nullptr);
+  const obs::OperatorProfile* scan = profile.root.get();
+  while (!scan->is_scan && !scan->children.empty()) {
+    scan = scan->children[0].get();
+  }
+  ASSERT_TRUE(scan->is_scan) << profile.Render();
+  EXPECT_EQ(scan->index_rows, 2u) << profile.Render();
+  EXPECT_NE(scan->name.find("index=forecast"), std::string::npos)
+      << scan->name;
 }
 
 }  // namespace
