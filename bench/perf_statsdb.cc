@@ -45,6 +45,12 @@
 // For each rep of the 4-thread lane it also prints the pool's parks,
 // idle time and occupancy over that rep (a diagnostic, no gate).
 //
+// A record-only lane, index_scatter, times the served dashboard's
+// per-forecast shapes (a grouped aggregate and a top-k over one
+// forecast's 365 rows, found through the hash index and spread one per
+// day over the day-major table) serially and at 4 threads, and prints
+// the scan's batches and the morsels per query. It has no floor.
+//
 // Method: reps are interleaved engine-by-engine (ref, vec, ref, vec, ...)
 // so machine-load drift hits both engines equally; each point reports the
 // min over kReps reps (the classic "fastest rep is the least-disturbed
@@ -412,6 +418,83 @@ int main(int argc, char** argv) {
     compose_expected.emplace_back(optimized, expected);
   }
 
+  // ----- index_scatter: one key's rows, scattered over the table.
+  std::printf("case,rows,serial_ms,par4_ms,batches,morsels\n");
+  std::string scatter_json_rows;
+  {
+    const Case scatter_cases[] = {
+        {"index_scatter_agg",
+         "SELECT node, COUNT(*) AS n, AVG(walltime) AS avg_w FROM runs "
+         "WHERE forecast = 'forecast-17' GROUP BY node ORDER BY node"},
+        {"index_scatter_topk",
+         "SELECT day, walltime FROM runs WHERE forecast = 'forecast-17' "
+         "ORDER BY walltime DESC LIMIT 10"},
+    };
+    // Batches the scan emitted and morsels the query ran, summed over
+    // the profile tree.
+    std::function<void(const obs::OperatorProfile&, uint64_t*, uint64_t*)>
+        count = [&count](const obs::OperatorProfile& op, uint64_t* batches,
+                         uint64_t* morsels) {
+          if (op.is_scan) *batches += op.batches;
+          *morsels += op.morsels;
+          for (const auto& c : op.children) count(*c, batches, morsels);
+        };
+    const statsdb::ParallelConfig cfg4 = par_config(&pool4);
+    for (const Case& c : scatter_cases) {
+      auto plan = statsdb::PlanSql(c.sql);
+      if (!plan.ok()) {
+        std::fprintf(stderr, "%s: parse failed: %s\n", c.name,
+                     plan.status().ToString().c_str());
+        return 1;
+      }
+      statsdb::PlanPtr optimized = statsdb::OptimizePlan(*plan, db);
+      obs::QueryProfile profile;
+      auto serial_rs = statsdb::ExecuteColumnar(*optimized, db);
+      auto par_rs = statsdb::ExecuteColumnar(*optimized, db, &profile, &cfg4);
+      if (!serial_rs.ok() || !par_rs.ok() ||
+          serial_rs->ToCsv() != par_rs->ToCsv()) {
+        std::fprintf(stderr, "%s: 4-thread output diverges from serial\n",
+                     c.name);
+        return 1;
+      }
+      uint64_t batches = 0, morsels = 0;
+      if (profile.root != nullptr) count(*profile.root, &batches, &morsels);
+      auto timings = bench::MeasureInterleaved(
+          {[&] {
+             return WallMs([&] {
+               if (!statsdb::ExecuteColumnar(*optimized, db).ok()) {
+                 std::abort();
+               }
+             });
+           },
+           [&] {
+             return WallMs([&] {
+               if (!statsdb::ExecuteColumnar(*optimized, db, nullptr, &cfg4)
+                        .ok()) {
+                 std::abort();
+               }
+             });
+           }},
+          kReps);
+      std::printf("%s,%zu,%.4f,%.4f,%llu,%llu\n", c.name,
+                  serial_rs->rows.size(), timings[0].wall_ms,
+                  timings[1].wall_ms,
+                  static_cast<unsigned long long>(batches),
+                  static_cast<unsigned long long>(morsels));
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"case\": \"%s\", \"rows\": %zu, "
+                    "\"serial_ms\": %.4f, \"par4_ms\": %.4f, "
+                    "\"batches\": %llu, \"morsels\": %llu}",
+                    c.name, serial_rs->rows.size(), timings[0].wall_ms,
+                    timings[1].wall_ms,
+                    static_cast<unsigned long long>(batches),
+                    static_cast<unsigned long long>(morsels));
+      if (!scatter_json_rows.empty()) scatter_json_rows += ",\n";
+      scatter_json_rows += buf;
+    }
+  }
+
   // Composition gate: replicas of a SweepRunner on a SHARED pool each
   // issue every parallel case from inside a pool task. The query's
   // morsel TaskGroups nest on the same workers (no second pool, no
@@ -652,13 +735,15 @@ int main(int argc, char** argv) {
                "  \"cache\": %s,\n"
                "  \"results\": [\n%s\n  ],\n"
                "  \"parallel_results\": [\n%s\n  ],\n"
+               "  \"index_scatter_results\": [\n%s\n  ],\n"
                "  \"dashboard_results\": [\n%s\n  ]\n}\n",
                smoke ? "true" : "false", kForecasts, kDays,
                kForecasts * kDays, kReps, kFloor, hw, kFloor4, kFloor8,
                compose_ok ? "true" : "false",
                bench::RuntimePoolJson(&pool8_profile).c_str(),
                cache_json.c_str(), json_rows.c_str(),
-               par_json_rows.c_str(), dash_json_rows.c_str());
+               par_json_rows.c_str(), scatter_json_rows.c_str(),
+               dash_json_rows.c_str());
   std::fclose(f);
   std::printf("# wrote %s (%d forecasts x %d days%s)\n", json_path,
               kForecasts, kDays, smoke ? ", smoke" : "");

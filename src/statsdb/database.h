@@ -28,8 +28,9 @@ struct ParallelConfig {
   /// Pool the morsels run on (not owned; e.g. the server's pool or a
   /// SweepRunner's shared pool). Null: every query runs serially.
   parallel::ThreadPool* pool = nullptr;
-  /// Chains whose zone-map survey yields fewer chunks than this stay
-  /// serial: tiny queries should not pay fan-out overhead.
+  /// Chains whose survey yields fewer scan units (chunks, or blocks of
+  /// index matches) than this stay serial: tiny queries should not pay
+  /// fan-out overhead.
   size_t min_chunks = 4;
 };
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <queue>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -130,13 +133,29 @@ bool ChunkPruned(const ScanSetup& s, size_t chunk, size_t span) {
   return false;
 }
 
-/// Scans chunks [first, end) of a prepared scan: the whole table, or
-/// one chunk for a morsel, whose Gather shares `setup` among them all.
+/// Units of a prepared scan: one per chunk on the full-scan path, one
+/// per block of up to kChunkRows index matches on the index path.
+size_t NumScanUnits(const ScanSetup& s) {
+  if (s.index_rows == nullptr) return s.store->num_chunks();
+  return (s.index_rows->size() + kChunkRows - 1) / kChunkRows;
+}
+
+/// The first row of unit `u`'s batch, to which its selection is
+/// relative: the chunk's first row, or on the index path the first row
+/// of the chunk holding the block's first match.
+size_t UnitBaseRow(const ScanSetup& s, size_t u) {
+  if (s.index_rows == nullptr) return u * kChunkRows;
+  return (*s.index_rows)[u * kChunkRows] / kChunkRows * kChunkRows;
+}
+
+/// Scans units [first, end) of a prepared scan: the whole table, or one
+/// unit for a morsel, whose Gather shares `setup` among them all. Emits
+/// at most one batch per unit.
 class ScanIterator : public BatchIterator {
  public:
   ScanIterator(std::shared_ptr<const ScanSetup> setup, size_t first,
                size_t end, obs::OperatorProfile* prof)
-      : setup_(std::move(setup)), chunk_(first), end_chunk_(end),
+      : setup_(std::move(setup)), unit_(first), end_unit_(end),
         prof_(prof) {}
 
   util::Status Init() { return util::Status::OK(); }
@@ -144,128 +163,154 @@ class ScanIterator : public BatchIterator {
   const Schema& schema() const override { return setup_->table->schema(); }
 
   util::StatusOr<const Batch*> Next() override {
-    const Schema& schema = setup_->table->schema();
-    size_t num_rows = setup_->store->num_rows();
-    while (chunk_ < end_chunk_) {
-      size_t chunk = chunk_++;
-      size_t lo = chunk * kChunkRows;
-      size_t hi = std::min(lo + kChunkRows, num_rows);
-      size_t span = hi - lo;
-
-      // Index access path: collect this chunk's matching rows first so
-      // chunks without matches are skipped outright. A single-chunk scan
-      // starts mid-table, so first skip the matches below `lo`.
-      std::vector<uint32_t> sel0;
-      if (setup_->use_index) {
-        const std::vector<size_t>& ir = setup_->index_rows;
-        index_pos_ = static_cast<size_t>(
-            std::lower_bound(ir.begin() + index_pos_, ir.end(), lo) -
-            ir.begin());
-        while (index_pos_ < ir.size() && ir[index_pos_] < hi) {
-          sel0.push_back(static_cast<uint32_t>(ir[index_pos_] - lo));
-          ++index_pos_;
-        }
-        if (sel0.empty()) continue;
-        if constexpr (obs::kProfilingCompiledIn) {
-          if (prof_ != nullptr) prof_->index_rows += sel0.size();
-        }
-      }
-
-      if (ChunkPruned(*setup_, chunk, span)) {
-        if constexpr (obs::kProfilingCompiledIn) {
-          if (prof_ != nullptr) ++prof_->chunks_pruned;
-        }
-        continue;
-      }
-      if constexpr (obs::kProfilingCompiledIn) {
-        if (prof_ != nullptr) ++prof_->chunks_scanned;
-      }
-
-      // Zero-copy chunk views.
-      out_ = Batch();
-      out_.num_rows = span;
-      out_.cols.reserve(schema.num_columns());
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        const ColumnStore::ColumnData& cd = setup_->store->column(c);
-        ColumnVector v;
-        v.type = cd.type;
-        v.length = span;
-        switch (cd.type) {
-          case DataType::kBool:
-            v.b8 = cd.bools.data() + lo;
-            break;
-          case DataType::kInt64:
-            v.i64 = cd.ints.data() + lo;
-            break;
-          case DataType::kDouble:
-            v.f64 = cd.doubles.data() + lo;
-            break;
-          case DataType::kString:
-            v.codes = cd.codes.data() + lo;
-            v.dict = &cd.dict;
-            break;
-          case DataType::kNull:
-            break;
-        }
-        // kChunkRows is a multiple of 64, so chunks start word-aligned.
-        if (cd.null_count > 0) v.null_words = cd.null_words.data() + lo / 64;
-        out_.cols.push_back(std::move(v));
-      }
-
-      if (setup_->use_index) {
-        // Evaluate conjuncts over the index-selected rows only.
-        std::vector<uint32_t> sel = std::move(sel0);
-        for (const auto& c : setup_->conjuncts) {
-          if (sel.empty()) break;
-          FF_ASSIGN_OR_RETURN(
-              ColumnVector v,
-              EvalBatch(*c, out_, schema, sel.data(), sel.size()));
-          std::vector<uint8_t> keep(sel.size(), 1);
-          ApplyBoolMaskSel(v, sel.size(), &keep);
-          std::vector<uint32_t> refined;
-          refined.reserve(sel.size());
-          for (size_t k = 0; k < sel.size(); ++k) {
-            if (keep[k]) refined.push_back(sel[k]);
-          }
-          sel = std::move(refined);
-        }
-        if (sel.empty()) continue;
-        out_.has_sel = true;
-        out_.sel = std::move(sel);
-        return &out_;
-      }
-
-      if (setup_->conjuncts.empty()) return &out_;
-
-      // Each conjunct is evaluated over every row of the chunk (matching
-      // the reference engine, whose AND evaluates both sides always);
-      // the masks are then intersected.
-      std::vector<uint8_t> keep(span, 1);
-      for (const auto& c : setup_->conjuncts) {
-        FF_ASSIGN_OR_RETURN(ColumnVector v,
-                            EvalBatch(*c, out_, schema, nullptr, span));
-        ApplyBoolMask(v, span, &keep);
-      }
-      std::vector<uint32_t> sel;
-      for (size_t k = 0; k < span; ++k) {
-        if (keep[k]) sel.push_back(static_cast<uint32_t>(k));
-      }
-      if (sel.empty()) continue;
-      if (sel.size() < span) {
-        out_.has_sel = true;
-        out_.sel = std::move(sel);
-      }
-      return &out_;
+    while (unit_ < end_unit_) {
+      const size_t u = unit_++;
+      FF_ASSIGN_OR_RETURN(bool any, setup_->index_rows != nullptr
+                                        ? ReadBlock(u)
+                                        : ReadChunk(u));
+      if (any) return &out_;
     }
     return nullptr;
   }
 
  private:
+  void CountChunk(bool pruned) {
+    if constexpr (obs::kProfilingCompiledIn) {
+      if (prof_ != nullptr) ++(pruned ? prof_->chunks_pruned
+                                      : prof_->chunks_scanned);
+    }
+  }
+
+  /// Points out_ at rows [lo, lo + span) of every column, zero-copy,
+  /// with no selection.
+  void ViewRows(size_t lo, size_t span) {
+    const Schema& schema = setup_->table->schema();
+    out_.num_rows = span;
+    out_.has_sel = false;
+    out_.sel.clear();
+    out_.cols.clear();
+    out_.cols.reserve(schema.num_columns());
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      const ColumnStore::ColumnData& cd = setup_->store->column(c);
+      ColumnVector v;
+      v.type = cd.type;
+      v.length = span;
+      switch (cd.type) {
+        case DataType::kBool:
+          v.b8 = cd.bools.data() + lo;
+          break;
+        case DataType::kInt64:
+          v.i64 = cd.ints.data() + lo;
+          break;
+        case DataType::kDouble:
+          v.f64 = cd.doubles.data() + lo;
+          break;
+        case DataType::kString:
+          v.codes = cd.codes.data() + lo;
+          v.dict = &cd.dict;
+          break;
+        case DataType::kNull:
+          break;
+      }
+      // `lo` starts a chunk and kChunkRows is a multiple of 64, so the
+      // view starts word-aligned.
+      if (cd.null_count > 0) v.null_words = cd.null_words.data() + lo / 64;
+      out_.cols.push_back(std::move(v));
+    }
+  }
+
+  /// Index path: block `u` of the index matches, minus those in chunks
+  /// the zone maps prune, as one batch whose selection holds the
+  /// matches that pass every conjunct. False when none does.
+  util::StatusOr<bool> ReadBlock(size_t u) {
+    const std::vector<size_t>& ir = *setup_->index_rows;
+    const size_t first = u * kChunkRows;
+    const size_t end = std::min(first + kChunkRows, ir.size());
+    const size_t lo = UnitBaseRow(*setup_, u);
+    if (ir[end - 1] - lo > std::numeric_limits<uint32_t>::max()) {
+      return util::Status::OutOfRange(
+          "index block spans more rows than a selection vector holds");
+    }
+    if constexpr (obs::kProfilingCompiledIn) {
+      if (prof_ != nullptr) prof_->index_rows += end - first;
+    }
+    const size_t num_rows = setup_->store->num_rows();
+    sel_.clear();
+    for (size_t pos = first; pos < end;) {
+      const size_t chunk = ir[pos] / kChunkRows;
+      const size_t hi = std::min((chunk + 1) * kChunkRows, num_rows);
+      size_t stop = pos;
+      while (stop < end && ir[stop] < hi) ++stop;
+      const bool pruned = ChunkPruned(*setup_, chunk, hi - chunk * kChunkRows);
+      CountChunk(pruned);
+      if (!pruned) {
+        for (; pos < stop; ++pos) {
+          sel_.push_back(static_cast<uint32_t>(ir[pos] - lo));
+        }
+      }
+      pos = stop;
+    }
+    if (sel_.empty()) return false;
+    ViewRows(lo, ir[end - 1] - lo + 1);
+
+    // Evaluate each conjunct over the surviving matches only.
+    const Schema& schema = setup_->table->schema();
+    for (const auto& c : setup_->conjuncts) {
+      FF_ASSIGN_OR_RETURN(
+          ColumnVector v,
+          EvalBatch(*c, out_, schema, sel_.data(), sel_.size()));
+      keep_.assign(sel_.size(), 1);
+      ApplyBoolMaskSel(v, sel_.size(), &keep_);
+      size_t n = 0;
+      for (size_t k = 0; k < sel_.size(); ++k) {
+        if (keep_[k]) sel_[n++] = sel_[k];
+      }
+      sel_.resize(n);
+      if (sel_.empty()) return false;
+    }
+    out_.has_sel = true;
+    out_.sel.swap(sel_);
+    return true;
+  }
+
+  /// Full-scan path: chunk `chunk` as one batch, selected down to the
+  /// rows that pass every conjunct. False when the zone maps prune it
+  /// or no row passes.
+  util::StatusOr<bool> ReadChunk(size_t chunk) {
+    const size_t lo = chunk * kChunkRows;
+    const size_t span = std::min(lo + kChunkRows, setup_->store->num_rows()) -
+                        lo;
+    const bool pruned = ChunkPruned(*setup_, chunk, span);
+    CountChunk(pruned);
+    if (pruned) return false;
+    ViewRows(lo, span);
+    if (setup_->conjuncts.empty()) return true;
+
+    // Each conjunct is evaluated over every row of the chunk (matching
+    // the reference engine, whose AND evaluates both sides always);
+    // the masks are then intersected.
+    const Schema& schema = setup_->table->schema();
+    keep_.assign(span, 1);
+    for (const auto& c : setup_->conjuncts) {
+      FF_ASSIGN_OR_RETURN(ColumnVector v,
+                          EvalBatch(*c, out_, schema, nullptr, span));
+      ApplyBoolMask(v, span, &keep_);
+    }
+    for (size_t k = 0; k < span; ++k) {
+      if (keep_[k]) out_.sel.push_back(static_cast<uint32_t>(k));
+    }
+    if (out_.sel.empty()) return false;
+    out_.has_sel = out_.sel.size() < span;
+    if (!out_.has_sel) out_.sel.clear();
+    return true;
+  }
+
   std::shared_ptr<const ScanSetup> setup_;
-  size_t chunk_;      // next chunk to scan
-  size_t end_chunk_;  // one past the last chunk to scan
-  size_t index_pos_ = 0;
+  size_t unit_;      // next unit to scan
+  size_t end_unit_;  // one past the last unit to scan
   obs::OperatorProfile* prof_ = nullptr;
+  std::vector<uint32_t> sel_;  // ReadBlock's selection under construction
+  std::vector<uint8_t> keep_;  // per-row conjunct mask
   Batch out_;
 };
 
@@ -364,6 +409,37 @@ class ProjectIterator : public BatchIterator {
 
 // ------------------------------------------------------------------ sort
 
+/// v.GetValue(r).Compare(x), without building the Value for typed
+/// numbers and strings (a string is compared in its dictionary).
+int CompareCell(const ColumnVector& v, size_t r, const Value& x) {
+  if (v.vals != nullptr) return v.vals[r].Compare(x);
+  if (v.type == DataType::kNull || v.IsNull(r)) return x.is_null() ? 0 : -1;
+  auto sign = [](auto a, auto b) { return a == b ? 0 : (a < b ? -1 : 1); };
+  const DataType xt = x.type();
+  switch (v.type) {
+    case DataType::kInt64:
+      if (xt == DataType::kInt64) return sign(v.i64[r], x.int64_value());
+      if (xt == DataType::kDouble) {
+        return sign(static_cast<double>(v.i64[r]), x.double_value());
+      }
+      break;
+    case DataType::kDouble:
+      if (xt == DataType::kDouble) return sign(v.f64[r], x.double_value());
+      if (xt == DataType::kInt64) {
+        return sign(v.f64[r], static_cast<double>(x.int64_value()));
+      }
+      break;
+    case DataType::kString:
+      if (xt != DataType::kString) return 1;  // strings rank last
+      return sign(std::string_view(v.dict->at(v.codes[r]))
+                      .compare(x.string_value()),
+                  0);
+    default:
+      break;
+  }
+  return v.GetValue(r).Compare(x);
+}
+
 class SortIterator : public BatchIterator {
  public:
   SortIterator(const SortNode& node, IterPtr input)
@@ -417,15 +493,30 @@ class SortIterator : public BatchIterator {
                        });
     } else {
       // Top-k: keep the k first rows of the sorted order in a max-heap
-      // (the heap's top is the worst retained row).
+      // (the heap's top is the worst retained row). Once the heap is
+      // full, a row enters only when its keys sort strictly before the
+      // worst row's: a tie goes to the earlier arrival, as in
+      // std::stable_sort. So each row is compared in place and built
+      // only when it enters.
       std::priority_queue<Entry, std::vector<Entry>, decltype(before)> heap(
           before);
+      auto enters = [this, &heap](const Batch& in, size_t r) {
+        if (heap.size() < node_.limit_hint) return true;
+        const Row& worst = heap.top().row;
+        for (size_t k = 0; k < cols_.size(); ++k) {
+          int c = CompareCell(in.cols[cols_[k]], r, worst[cols_[k]]);
+          if (c != 0) return node_.keys[k].ascending ? c < 0 : c > 0;
+        }
+        return false;
+      };
       size_t seq = 0;
       for (;;) {
         FF_ASSIGN_OR_RETURN(const Batch* in, input_->Next());
         if (in == nullptr) break;
-        for (size_t k = 0; k < in->ActiveRows(); ++k) {
-          heap.push(Entry{in->MaterializeRow(in->RowAt(k)), seq++});
+        for (size_t k = 0; k < in->ActiveRows(); ++k, ++seq) {
+          const size_t r = in->RowAt(k);
+          if (!enters(*in, r)) continue;
+          heap.push(Entry{in->MaterializeRow(r), seq});
           if (heap.size() > node_.limit_hint) heap.pop();
         }
       }
@@ -701,29 +792,27 @@ util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
         !IndexKeyUsable(s.table->schema().column(*idx).type, *key)) {
       continue;
     }
-    FF_ASSIGN_OR_RETURN(s.index_rows, s.table->Lookup(k.column, *key));
-    s.use_index = true;
-    break;
+    // The bucket is borrowed: the read holds off every writer.
+    s.index_rows = s.table->IndexBucket(*idx, *key);
+    if (s.index_rows != nullptr) break;
   }
   return s;
 }
 
-std::vector<size_t> SurveyScanChunks(const ScanSetup& setup) {
+std::vector<size_t> SurveyScanUnits(const ScanSetup& setup) {
   std::vector<size_t> out;
-  size_t num_rows = setup.store->num_rows();
-  size_t pos = 0;  // cursor into index_rows (ascending)
-  for (size_t chunk = 0; chunk * kChunkRows < num_rows; ++chunk) {
-    size_t lo = chunk * kChunkRows;
-    size_t hi = std::min(lo + kChunkRows, num_rows);
-    if (setup.use_index) {
-      bool any = pos < setup.index_rows.size() && setup.index_rows[pos] < hi;
-      while (pos < setup.index_rows.size() && setup.index_rows[pos] < hi) {
-        ++pos;
-      }
-      if (!any) continue;
+  if (setup.index_rows != nullptr) {
+    // Zone maps prune inside a block, chunk by chunk.
+    out.resize(NumScanUnits(setup));
+    std::iota(out.begin(), out.end(), size_t{0});
+    return out;
+  }
+  const size_t num_rows = setup.store->num_rows();
+  for (size_t chunk = 0; chunk < setup.store->num_chunks(); ++chunk) {
+    const size_t lo = chunk * kChunkRows;
+    if (!ChunkPruned(setup, chunk, std::min(lo + kChunkRows, num_rows) - lo)) {
+      out.push_back(chunk);
     }
-    if (ChunkPruned(setup, chunk, hi - lo)) continue;
-    out.push_back(chunk);
   }
   return out;
 }
@@ -735,7 +824,7 @@ util::StatusOr<IterPtr> BuildIteratorOver(const PlanNode& plan,
 
 /// Builds the iterator tree for `plan`, which must be a chain of
 /// Filter/Project nodes over one Scan leaf, prepared as `setup`; the
-/// leaf scans chunks [first, end).
+/// leaf scans units [first, end).
 util::StatusOr<IterPtr> BuildChainIterator(
     const PlanNode& plan, const std::shared_ptr<const ScanSetup>& setup,
     size_t first, size_t end, obs::OperatorProfile* prof) {
@@ -755,11 +844,11 @@ util::StatusOr<IterPtr> BuildChainIterator(
 
 // -------------------------------------------------------- morsel fan-out
 
-/// A chain is a pipeline the executor can split by chunk: Filter/Project
-/// operators over exactly one Scan leaf. The scan emits one batch per
-/// chunk and Filter/Project map batches one to one, so running the chain
-/// once per chunk yields, in chunk order, exactly the batches of one
-/// serial pass.
+/// A chain is a pipeline the executor can split by scan unit (a chunk,
+/// or a block of index matches): Filter/Project operators over exactly
+/// one Scan leaf. The scan emits at most one batch per unit and
+/// Filter/Project map batches one to one, so running the chain once per
+/// unit yields, in unit order, exactly the batches of one serial pass.
 bool IsChain(const PlanNode& n) {
   if (n.kind() == PlanKind::kScan) return true;
   return (n.kind() == PlanKind::kFilter || n.kind() == PlanKind::kProject) &&
@@ -778,37 +867,37 @@ int64_t ProfileNowNs() {
 
 /// Morsel fan-out of one scan chain, each morsel optionally capped by
 /// its own copy of `cap`, a Distinct or a top-k Sort. The scan is
-/// prepared once (BuildChain) and every surviving chunk is one morsel,
-/// which runs the serial operators over that chunk and emits at most
+/// prepared once (BuildChain) and every surveyed unit is one morsel,
+/// which runs the serial operators over that unit and emits at most
 /// one batch.
 ///
 /// On its first Next() the Gather runs every morsel on the pool, then
-/// yields their batches in chunk order: the batches the serial chain
+/// yields their batches in unit order: the batches the serial chain
 /// (or `cap` over each of them) emits, in the serial order, so the
 /// serial Distinct or Sort above it combines the morsels exactly as it
-/// would combine the chunks. FoldGroups instead folds each morsel into
+/// would combine the units. FoldGroups instead folds each morsel into
 /// its own GroupedAgg for an Aggregate above. Either way the error
-/// returned is the lowest failing morsel's: a chunk's errors do not
+/// returned is the lowest failing morsel's: a unit's errors do not
 /// depend on the thread that runs it, so that is the error a serial
-/// pass over the chunks hits first.
+/// pass over the units hits first.
 class GatherIterator : public BatchIterator {
  public:
   GatherIterator(const PlanNode& chain, const PlanNode* cap,
                  std::shared_ptr<const ScanSetup> setup,
-                 std::vector<size_t> chunks, parallel::ThreadPool* pool,
+                 std::vector<size_t> units, parallel::ThreadPool* pool,
                  const char* op, obs::OperatorProfile* prof)
       : chain_(chain),
         cap_(cap),
         setup_(std::move(setup)),
-        chunks_(std::move(chunks)),
+        units_(std::move(units)),
         pool_(pool),
         prof_(prof),
-        morsels_(chunks_.size()),
-        batches_(chunks_.size(), nullptr) {
+        morsels_(units_.size()),
+        batches_(units_.size(), nullptr) {
     if (prof_ == nullptr) return;
     prof_->name = util::StrFormat("Parallel[%s]", op);
     prof_->parallel = true;
-    morsel_profs_.resize(chunks_.size());
+    morsel_profs_.resize(units_.size());
   }
 
   /// Builds morsel 0 on the calling thread, so the chain's and the
@@ -839,7 +928,7 @@ class GatherIterator : public BatchIterator {
   }
 
   /// Folds morsel i into partial groups i on the pool and merges the
-  /// partials in morsel order. The serial Aggregate folds each chunk's
+  /// partials in morsel order. The serial Aggregate folds each unit's
   /// one batch into fresh partial states and merges them into its
   /// running groups, so both make the same AggState::Merge calls.
   util::StatusOr<GroupedAgg> FoldGroups(const std::vector<AggSpec>* aggs,
@@ -867,7 +956,7 @@ class GatherIterator : public BatchIterator {
   util::Status BuildMorsel(size_t i) {
     FF_ASSIGN_OR_RETURN(
         IterPtr it,
-        BuildChainIterator(chain_, setup_, chunks_[i], chunks_[i] + 1,
+        BuildChainIterator(chain_, setup_, units_[i], units_[i] + 1,
                            prof_ == nullptr ? nullptr : &morsel_profs_[i]));
     if (cap_ != nullptr) {
       FF_ASSIGN_OR_RETURN(it, BuildIteratorOver(*cap_, std::move(it)));
@@ -879,9 +968,10 @@ class GatherIterator : public BatchIterator {
   /// Runs fn(i, morsel i) for every morsel on the pool, building the
   /// morsels other than 0 on their workers, and returns the lowest
   /// failing morsel's error. Profiled, it then merges the morsel chain
-  /// profiles in morsel order into one chain child and charges the
-  /// chunks the survey pruned to that chain's scan: each morsel scans
-  /// one surviving chunk and never sees them.
+  /// profiles in morsel order into one chain child and, on the
+  /// full-scan path, charges the chunks the survey pruned to that
+  /// chain's scan: each morsel scans one surviving chunk and never sees
+  /// them. An index block counts its own pruned chunks.
   util::Status RunMorsels(
       const std::function<util::Status(size_t, BatchIterator&)>& fn) {
     const size_t m = morsels_.size();
@@ -908,7 +998,7 @@ class GatherIterator : public BatchIterator {
       }
       obs::OperatorProfile* leaf = chain;
       while (!leaf->children.empty()) leaf = leaf->children[0].get();
-      if (leaf->is_scan) {
+      if (leaf->is_scan && setup_->index_rows == nullptr) {
         leaf->chunks_pruned += setup_->store->num_chunks() - m;
       }
       prof_->wall_ns += static_cast<uint64_t>(ProfileNowNs() - t0);
@@ -922,7 +1012,7 @@ class GatherIterator : public BatchIterator {
   const PlanNode& chain_;
   const PlanNode* cap_;
   const std::shared_ptr<const ScanSetup> setup_;
-  const std::vector<size_t> chunks_;  // surviving chunks, one morsel each
+  const std::vector<size_t> units_;  // surveyed units, one morsel each
   parallel::ThreadPool* pool_;
   obs::OperatorProfile* prof_;
   std::vector<obs::OperatorProfile> morsel_profs_;  // profiled only
@@ -933,7 +1023,7 @@ class GatherIterator : public BatchIterator {
 };
 
 /// Builds the scan chain `chain`, preparing its scan once. With `par`,
-/// when at least max(2, par->min_chunks) chunks survive the survey, it
+/// when at least max(2, par->min_chunks) units survive the survey, it
 /// is a Gather whose morsels are capped by `cap` (also stored in
 /// `*gather` when that is non-null); otherwise the serial chain. Either
 /// way Init errors come out here in the serial chain's order.
@@ -945,18 +1035,17 @@ util::StatusOr<IterPtr> BuildChain(const PlanNode& chain, const PlanNode* cap,
   FF_ASSIGN_OR_RETURN(ScanSetup prepared, PrepareScan(ChainLeaf(chain), db));
   auto setup = std::make_shared<const ScanSetup>(std::move(prepared));
   if (par != nullptr) {
-    std::vector<size_t> chunks = SurveyScanChunks(*setup);
-    if (chunks.size() >= std::max<size_t>(2, par->min_chunks)) {
+    std::vector<size_t> units = SurveyScanUnits(*setup);
+    if (units.size() >= std::max<size_t>(2, par->min_chunks)) {
       auto fan_out = std::make_unique<GatherIterator>(
-          chain, cap, std::move(setup), std::move(chunks), par->pool, op,
+          chain, cap, std::move(setup), std::move(units), par->pool, op,
           prof);
       FF_RETURN_IF_ERROR(fan_out->Init());
       if (gather != nullptr) *gather = fan_out.get();
       return IterPtr(std::move(fan_out));
     }
   }
-  return BuildChainIterator(chain, setup, 0, setup->store->num_chunks(),
-                            prof);
+  return BuildChainIterator(chain, setup, 0, NumScanUnits(*setup), prof);
 }
 
 // ------------------------------------------------------------- aggregate
@@ -1037,8 +1126,11 @@ util::StatusOr<IterPtr> Build(const PlanNode& plan, const Database& db,
                               const ParallelConfig* par, bool full,
                               obs::OperatorProfile* prof) {
   if (IsChain(plan)) {
-    return BuildChain(plan, nullptr, "collect", db, full ? par : nullptr,
-                      prof);
+    // A bare Scan's morsels would only slice views, so it stays serial.
+    const bool bare = plan.kind() == PlanKind::kScan &&
+                      static_cast<const ScanNode&>(plan).predicate == nullptr;
+    return BuildChain(plan, nullptr, "collect", db,
+                      full && !bare ? par : nullptr, prof);
   }
   // One profile child per plan input.
   auto child = [prof]() {
@@ -1115,8 +1207,8 @@ util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
       ScanSetup prepared,
       PrepareScan(static_cast<const ScanNode&>(*leaf), db));
   auto setup = std::make_shared<const ScanSetup>(std::move(prepared));
-  std::vector<size_t> chunks = SurveyScanChunks(*setup);
-  if (chunks.empty() && plan->kind() == PlanKind::kFilter) {
+  std::vector<size_t> units = SurveyScanUnits(*setup);
+  if (units.empty() && plan->kind() == PlanKind::kFilter) {
     // No chain iterator is built, so run the check SELECT's Filter
     // makes when it is built over an empty table.
     FF_RETURN_IF_ERROR(
@@ -1124,13 +1216,14 @@ util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
                            setup->table->schema()));
   }
   std::vector<size_t> ids;
-  for (size_t chunk : chunks) {
-    FF_ASSIGN_OR_RETURN(IterPtr it, BuildChainIterator(*plan, setup, chunk,
-                                                       chunk + 1, nullptr));
+  for (size_t u : units) {
+    FF_ASSIGN_OR_RETURN(IterPtr it,
+                        BuildChainIterator(*plan, setup, u, u + 1, nullptr));
     FF_ASSIGN_OR_RETURN(const Batch* batch, it->Next());  // at most one
     if (batch == nullptr) continue;
+    const size_t base = UnitBaseRow(*setup, u);
     for (size_t k = 0; k < batch->ActiveRows(); ++k) {
-      ids.push_back(chunk * kChunkRows + batch->RowAt(k));
+      ids.push_back(base + batch->RowAt(k));
     }
   }
   return ids;

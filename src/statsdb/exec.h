@@ -11,23 +11,28 @@
 // database.h), BuildIterator builds a Gather iterator wherever a scan
 // chain (Filter/Project operators over one Scan leaf) is drained in
 // full — under an Aggregate, a Distinct, a top-k Sort, a hash join or
-// any other full consumer. The Gather prepares the scan once (table
-// lookup, index probe), surveys the chunks that survive zone-map
-// pruning, and on its first pull runs one morsel per surviving 4096-row
-// chunk on the pool with a TaskGroup (safe even when the query itself
-// runs inside a pool task, e.g. a sweep replica). A morsel runs the
-// serial operators over its chunk, capped by its own copy of the
-// Distinct or top-k Sort it feeds, and emits at most one batch.
+// any other full consumer. A scan reads scan units: on a full scan a
+// unit is one 4096-row chunk; on the index path it is a block of up to
+// 4096 index matches in ascending row order, however many chunks they
+// span, read as one batch of zero-copy views with a selection vector.
+// The Gather prepares the scan once (table lookup, index probe),
+// surveys the units (the chunks that survive zone-map pruning, or every
+// block), and on its first pull runs one morsel per unit on the pool
+// with a TaskGroup (safe even when the query itself runs inside a pool
+// task, e.g. a sweep replica). A morsel runs the serial operators over
+// its unit, capped by its own copy of the Distinct or top-k Sort it
+// feeds, and emits at most one batch. Unit boundaries depend only on
+// the table and the match list, never on the thread count.
 //
 // Determinism contract: results are byte-identical to the serial
 // engine — row order, group order, every bit of every double, and error
 // messages — at any thread count. It holds by construction: a serial
-// scan chain emits one batch per surviving chunk, in chunk order, and a
-// morsel is exactly one chunk, so
-//  - the Gather yields the morsels' batches in chunk order: the serial
+// scan chain emits one batch per scan unit, in unit order, and a morsel
+// is exactly one unit, so
+//  - the Gather yields the morsels' batches in unit order: the serial
 //    chain's batch stream. The serial Distinct or Sort above it does
-//    the combine pass, so duplicates and ties resolve by chunk, then by
-//    arrival inside the chunk: the serial arrival order;
+//    the combine pass, so duplicates and ties resolve by unit, then by
+//    arrival inside the unit: the serial arrival order;
 //  - under an Aggregate, each morsel folds its batch into its own
 //    GroupedAgg partials and the Aggregate merges them in morsel order:
 //    the serial operator's own sequence of AggState::Merge calls;
@@ -35,9 +40,10 @@
 //    coordinator prepares the scan and builds morsel 0 there;
 //  - the first runtime error is the lowest failing morsel's, raised on
 //    the Gather's first pull, where the serial engine would raise it:
-//    a chunk's errors do not depend on the thread that runs it.
+//    a unit's errors do not depend on the thread that runs it.
 // Chains consumed with early exit (under a Limit with no intervening
-// breaker) are never fanned out.
+// breaker) are never fanned out, nor is a bare Scan (no predicate,
+// Filter or Project), whose morsels would only slice views.
 
 #ifndef FF_STATSDB_EXEC_H_
 #define FF_STATSDB_EXEC_H_
@@ -79,12 +85,13 @@ class BatchIterator {
 /// With a non-null `par` whose pool has more than one thread (otherwise
 /// the tree is serial, as with a null `par`), every scan chain
 /// (Filter/Project over one Scan) that is drained in full and keeps at
-/// least max(2, par->min_chunks) chunks after the zone-map survey is
-/// built as a Gather over morsels run on `par->pool`: under an
-/// Aggregate (each morsel folds its own partial groups), a Distinct or
-/// a top-k Sort (each morsel runs its own copy, the operator above
-/// combines), a hash join or any other full consumer. A chain under a
-/// Limit with no pipeline breaker in between stays serial. Its profile
+/// least max(2, par->min_chunks) scan units after the survey is built
+/// as a Gather over morsels run on `par->pool`: under an Aggregate
+/// (each morsel folds its own partial groups), a Distinct or a top-k
+/// Sort (each morsel runs its own copy, the operator above combines), a
+/// hash join or any other full consumer. A chain under a Limit with no
+/// pipeline breaker in between stays serial, and so does a bare Scan.
+/// An index scan with at most 4096 matches is one unit. Its profile
 /// node is "Parallel[aggregate|distinct|topk|collect]", under the
 /// operator it feeds, with the chain's per-morsel profiles merged in
 /// morsel order below it. Init errors surface here, in the serial
@@ -104,24 +111,29 @@ struct ScanSetup {
   const ColumnStore* store = nullptr;
   std::vector<ExprPtr> conjuncts;
   std::vector<std::pair<size_t, SimplePredicate>> zone_preds;
-  bool use_index = false;
-  std::vector<size_t> index_rows;  // ascending row ids, index path only
+  /// Index path: the key's hash-index bucket (ascending row ids),
+  /// borrowed from the table for the length of the read. Null on the
+  /// full-scan path.
+  const std::vector<size_t>* index_rows = nullptr;
 };
 
+/// Prepares a scan. Takes the index path on the first of the node's
+/// index keys that is bound, usable (IndexKeyUsable) and names an
+/// indexed column; otherwise a full scan.
 util::StatusOr<ScanSetup> PrepareScan(const ScanNode& node,
                                       const Database& db);
 
-/// Chunk indices (ascending) that survive zone-map pruning and — on the
-/// index path — contain at least one index match. A Gather runs one
-/// morsel per entry; chunks absent from it are provably empty for the
-/// scan.
-std::vector<size_t> SurveyScanChunks(const ScanSetup& setup);
+/// Scan units (ascending) worth a morsel: on the full-scan path the
+/// chunks that survive zone-map pruning; on the index path every block
+/// of up to kChunkRows matches, whose pruned chunks the scan drops
+/// itself. Units absent from it are provably empty for the scan.
+std::vector<size_t> SurveyScanUnits(const ScanSetup& setup);
 
 /// Ascending ids of the rows of `table` that `SELECT * FROM table WHERE
 /// where` returns (every row when `where` is null), found by that
 /// SELECT's own scan: the planner's pushdown and index selection, then
-/// PrepareScan, SurveyScanChunks and one single-chunk scan chain per
-/// surviving chunk. Fails exactly when that SELECT fails, with the same
+/// PrepareScan, SurveyScanUnits and one single-unit scan chain per
+/// surveyed unit. Fails exactly when that SELECT fails, with the same
 /// error. Serial. UPDATE and DELETE find their target rows here.
 util::StatusOr<std::vector<size_t>> MatchRows(const std::string& table,
                                               const ExprPtr& where,
@@ -138,9 +150,10 @@ std::vector<PlanPtr> PlanInputs(const PlanNode& plan);
 /// running groups (AggState::Merge); Merge() folds in another
 /// GroupedAgg's groups the same way. Groups keep first-seen order.
 ///
-/// A serial scan chain emits one batch per chunk and a morsel is one
-/// chunk, so the serial operator and a morsel-order merge of morsel
-/// partials make the same Merge calls: their results agree bit for bit.
+/// A serial scan chain emits one batch per scan unit (a chunk, or an
+/// index block) and a morsel is one unit, so the serial operator and a
+/// morsel-order merge of morsel partials make the same Merge calls:
+/// their results agree bit for bit.
 class GroupedAgg {
  public:
   /// `aggs` must outlive this object; `key_cols` index the input schema

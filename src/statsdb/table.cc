@@ -1,6 +1,7 @@
 #include "statsdb/table.h"
 
 #include <algorithm>
+#include <set>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -105,16 +106,33 @@ util::Status Table::UpdateCells(const std::vector<size_t>& rows,
     auto it = indexes_.find(col);
     if (it != indexes_.end()) touched.emplace(col, &it->second);
   }
+  // The rows leave their old buckets and join their new ones. Buckets
+  // stay ascending (IndexBucket's contract): each old bucket drops the
+  // moved rows in one pass, and a new bucket that received a row below
+  // its tail is sorted once at the end.
+  std::vector<size_t> sorted_rows = rows;
+  std::sort(sorted_rows.begin(), sorted_rows.end());
+  auto moved = [&sorted_rows](size_t r) {
+    return std::binary_search(sorted_rows.begin(), sorted_rows.end(), r);
+  };
   for (auto& [col, index] : touched) {
-    for (size_t row : rows) {
-      auto& bucket = (*index)[store_.GetValue(row, col)];
-      bucket.erase(std::remove(bucket.begin(), bucket.end(), row),
-                   bucket.end());
+    std::set<std::vector<size_t>*> olds;
+    for (size_t row : sorted_rows) {
+      olds.insert(&(*index)[store_.GetValue(row, col)]);
     }
+    for (std::vector<size_t>* bucket : olds) std::erase_if(*bucket, moved);
   }
   store_.Update(rows, cols, values);
   for (auto& [col, index] : touched) {
-    for (size_t row : rows) (*index)[store_.GetValue(row, col)].push_back(row);
+    std::set<std::vector<size_t>*> unsorted;
+    for (size_t row : sorted_rows) {
+      std::vector<size_t>& bucket = (*index)[store_.GetValue(row, col)];
+      if (!bucket.empty() && bucket.back() > row) unsorted.insert(&bucket);
+      bucket.push_back(row);
+    }
+    for (std::vector<size_t>* bucket : unsorted) {
+      std::sort(bucket->begin(), bucket->end());
+    }
   }
   BumpEpoch();
   return util::Status::OK();
@@ -168,17 +186,19 @@ bool Table::HasIndex(const std::string& column) const {
   return col.ok() && indexes_.count(*col) > 0;
 }
 
+const std::vector<size_t>* Table::IndexBucket(size_t col,
+                                              const Value& v) const {
+  static const std::vector<size_t> kNoRows;
+  auto idx_it = indexes_.find(col);
+  if (idx_it == indexes_.end()) return nullptr;
+  auto bucket = idx_it->second.find(v);
+  return bucket == idx_it->second.end() ? &kNoRows : &bucket->second;
+}
+
 util::StatusOr<std::vector<size_t>> Table::Lookup(const std::string& column,
                                                   const Value& v) const {
   FF_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
-  auto idx_it = indexes_.find(col);
-  if (idx_it != indexes_.end()) {
-    auto bucket = idx_it->second.find(v);
-    if (bucket == idx_it->second.end()) return std::vector<size_t>{};
-    std::vector<size_t> sorted = bucket->second;
-    std::sort(sorted.begin(), sorted.end());
-    return sorted;
-  }
+  if (const std::vector<size_t>* bucket = IndexBucket(col, v)) return *bucket;
   std::vector<size_t> out;
   for (size_t i = 0; i < store_.num_rows(); ++i) {
     if (store_.GetValue(i, col).Compare(v) == 0) out.push_back(i);

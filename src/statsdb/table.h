@@ -81,10 +81,16 @@ class Table {
   util::Status CreateIndex(const std::string& column);
   bool HasIndex(const std::string& column) const;
 
-  /// Row indices where `column` == `v` (uses index when present, else
-  /// scans the column). NotFound for unknown columns.
+  /// Row indices where `column` == `v`, ascending (uses index when
+  /// present, else scans the column). NotFound for unknown columns.
   util::StatusOr<std::vector<size_t>> Lookup(const std::string& column,
                                              const Value& v) const;
+
+  /// The hash-index bucket of `v` in column `col`: the ascending ids of
+  /// the rows holding `v`, borrowed, so valid until the next mutation
+  /// (a read holds the database's read side for that long). Empty when
+  /// no row holds `v`; nullptr when `col` has no index.
+  const std::vector<size_t>* IndexBucket(size_t col, const Value& v) const;
 
   /// Bulk columnar ingest: cells are appended directly into the typed
   /// column vectors in schema order, skipping per-row Row/Value

@@ -414,7 +414,7 @@ TEST(DmlDiff, TailChunkLiveUpdate) {
     while (opt->kind() != PlanKind::kScan) opt = PlanInputs(*opt)[0];
     auto setup = PrepareScan(static_cast<const ScanNode&>(*opt), twin.db());
     ASSERT_TRUE(setup.ok());
-    EXPECT_EQ(SurveyScanChunks(*setup).size(), 1u) << where;
+    EXPECT_EQ(SurveyScanUnits(*setup).size(), 1u) << where;
     EXPECT_EQ(twin.Update({{"walltime", "5760.5"}, {"node", "'f2'"}}, where),
               50);
   }

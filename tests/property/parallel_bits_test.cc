@@ -132,10 +132,13 @@ const char* const kCancelQueries[] = {
     "SELECT SUM(c) AS s, AVG(c) AS a, COUNT(c) AS n FROM cancel",
     "SELECT g, SUM(c) AS s, AVG(c) AS a FROM cancel GROUP BY g",
     // The probe side is collected in parallel and joined serially; the
-    // aggregate above the join must still see one batch per chunk.
-    "SELECT SUM(c) AS s, AVG(c) AS a FROM cancel JOIN parity ON g = k",
+    // aggregate above the join must still see one batch per chunk. The
+    // always-true `g >= 0` lands in the probe scan: a bare Scan is never
+    // fanned out.
+    "SELECT SUM(c) AS s, AVG(c) AS a FROM cancel JOIN parity ON g = k "
+    "WHERE g >= 0",
     "SELECT label, SUM(c) AS s, AVG(c) AS a FROM cancel JOIN parity "
-    "ON g = k GROUP BY label",
+    "ON g = k WHERE g >= 0 GROUP BY label",
 };
 
 uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
@@ -248,14 +251,14 @@ TEST_F(StatsDbParallelBitsTest, CancellationAcrossChunksIsBitIdentical) {
 
 TEST_F(StatsDbParallelBitsTest, MorselRowsCountChainRowsForEveryOp) {
   // The chain under each Parallel[<op>] node counts what the morsels'
-  // chains emitted, whatever the op does with it: over an unfiltered
-  // scan that adds up to the table.
+  // chains emitted, whatever the op does with it: over a scan that keeps
+  // every row that adds up to the table.
   const std::pair<const char*, const char*> cases[] = {
       {"aggregate", "SELECT grp, COUNT(*) AS c FROM t8193 GROUP BY grp"},
       {"distinct", "SELECT DISTINCT tag FROM t8193"},
       {"topk", "SELECT id FROM t8193 ORDER BY tie LIMIT 3"},
       {"collect", "SELECT label, COUNT(*) AS c FROM cancel JOIN parity "
-                  "ON g = k GROUP BY label"},
+                  "ON g = k WHERE g >= 0 GROUP BY label"},
   };
   const size_t table_rows[] = {8193, 8193, 8193, 3 * kChunkRows};
   for (size_t i = 0; i < std::size(cases); ++i) {

@@ -201,6 +201,47 @@ TEST_F(ExplainTest, ProfiledExecutionIsByteIdenticalToPlain) {
   }
 }
 
+TEST_F(ExplainTest, AnalyzeBareJoinSidesStaySerial) {
+  ASSERT_TRUE(db_.Sql("CREATE TABLE sites (site TEXT, region TEXT)").ok());
+  ASSERT_TRUE(db_.Sql("INSERT INTO sites VALUES ('till', 'north'), "
+                      "('dev', 'south')")
+                  .ok());
+  const std::string bare =
+      "SELECT region, COUNT(*) AS n, SUM(walltime) AS w FROM runs "
+      "JOIN sites ON forecast = site GROUP BY region";
+  const std::string filtered =
+      "SELECT region, COUNT(*) AS n, SUM(walltime) AS w FROM runs "
+      "JOIN sites ON forecast = site WHERE day >= 0 GROUP BY region";
+  const std::string serial = Run(bare).ToCsv();
+  ASSERT_EQ(Run(filtered).ToCsv(), serial);
+  // 12,288 rows per forecast: every other row of six 4096-row days.
+  EXPECT_EQ(serial.rfind("region,n,w\nnorth,12288,", 0), 0u) << serial;
+  EXPECT_NE(serial.find("\nsouth,12288,"), std::string::npos) << serial;
+
+  UseParallel();
+  // Both sides are bare Scans, whose morsels would only slice views:
+  // neither fans out, and the rows are the serial engine's.
+  std::vector<std::string> analyze =
+      PlanColumn(Run("EXPLAIN ANALYZE " + bare));
+  std::string joined;
+  for (const auto& line : analyze) joined += line + "\n";
+  EXPECT_EQ(analyze[0].rfind("engine=serial", 0), 0u) << joined;
+  EXPECT_EQ(joined.find("Parallel["), std::string::npos) << joined;
+  EXPECT_EQ(Run(bare).ToCsv(), serial);
+
+  // A predicate makes the probe side a chain worth fanning out; the
+  // build side stays a bare, serial Scan.
+  analyze = PlanColumn(Run("EXPLAIN ANALYZE " + filtered));
+  joined.clear();
+  for (const auto& line : analyze) joined += line + "\n";
+  EXPECT_EQ(analyze[0].rfind("engine=parallel", 0), 0u) << joined;
+  const size_t collect = joined.find("Parallel[collect]");
+  ASSERT_NE(collect, std::string::npos) << joined;
+  EXPECT_EQ(joined.find("Parallel[", collect + 1), std::string::npos)
+      << joined;
+  EXPECT_EQ(Run(filtered).ToCsv(), serial);
+}
+
 TEST_F(ExplainTest, AnalyzeAnnotatesCacheDisposition) {
   // Cache off (fixture default): every run reports a bypass.
   std::vector<std::string> off =

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "statsdb/cache.h"
+#include "statsdb/database.h"
+
 namespace ff {
 namespace statsdb {
 namespace {
@@ -168,6 +175,57 @@ TEST(TableTest, LookupUnknownColumnFails) {
   Table t("runs", TestSchema());
   EXPECT_TRUE(t.Lookup("ghost", Value::Int64(1)).status().IsNotFound());
   EXPECT_TRUE(t.CreateIndex("ghost").IsNotFound());
+}
+
+TEST(TableTest, UpdateBetweenIndexKeysKeepsBucketsAscending) {
+  // Rows interleave three keys over three chunks, and day = row id, so a
+  // scan's days come out in row order. Both updates move rows into the
+  // middle of another key's bucket; the second passes its rows
+  // descending.
+  Database db;
+  db.set_cache_config(CacheConfig{});
+  Table* t = *db.CreateTable("runs", TestSchema());
+  const char* keys[] = {"a", "b", "c"};
+  constexpr size_t kRows = 3 * 4096 + 5;
+  for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->Insert({Value::String(keys[i * 7 % 3]),
+                           Value::Int64(static_cast<int64_t>(i)),
+                           Value::Double(1.0)})
+                    .ok());
+  }
+  ASSERT_TRUE(t->CreateIndex("forecast").ok());
+  ASSERT_TRUE(
+      db.Sql("UPDATE runs SET forecast = 'a' WHERE forecast = 'b' AND "
+             "day % 5 = 0")
+          .ok());
+  std::vector<size_t> rows;
+  for (size_t i = kRows; i-- > 0;) {
+    if (i % 11 == 0) rows.push_back(i);
+  }
+  ASSERT_TRUE(t->UpdateCells(rows, {0},
+                             std::vector<Value>(rows.size(),
+                                                Value::String("c")))
+                  .ok());
+
+  for (const char* key : keys) {
+    SCOPED_TRACE(key);
+    std::vector<size_t> want;
+    std::string days = "day\n";
+    for (size_t i = 0; i < kRows; ++i) {
+      if (t->row(i)[0].string_value() != key) continue;
+      want.push_back(i);
+      days += std::to_string(i) + "\n";
+    }
+    auto bucket = t->Lookup("forecast", Value::String(key));
+    ASSERT_TRUE(bucket.ok());
+    EXPECT_TRUE(std::is_sorted(bucket->begin(), bucket->end()));
+    EXPECT_EQ(*bucket, want);
+    // The index scan reads the bucket in place.
+    auto rs = db.Sql(std::string("SELECT day FROM runs WHERE forecast = '") +
+                     key + "'");
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    EXPECT_EQ(rs->ToCsv(), days);
+  }
 }
 
 }  // namespace
